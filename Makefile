@@ -17,11 +17,12 @@ test-slow:
 
 # CI gate: tier-1 tests, a bench smoke run (scratch output, so the
 # committed BENCH_parse.json and its pinned seed baseline stay put),
-# and the corpus-subsystem coverage floor.
+# and the per-subsystem coverage floors.
 check: test bench-quick coverage
 
-# Line-coverage floor over src/repro/corpus (stdlib tracer, offline;
-# fails on regression below the floor in tools/coverage_gate.py).
+# Line-coverage floors over the gated subsystems (corpus, durability,
+# resilience, state, ontology; stdlib tracer, offline; fails on
+# regression below a floor in tools/coverage_gate.py).
 coverage:
 	$(PY) tools/coverage_gate.py
 

@@ -132,6 +132,45 @@ class Ontology:
         self._by_name: dict[str, int] = {}
         self._relations: list[Relation] = []
         self._relation_set: set[Relation] = set()
+        self._generation = 0
+        self._index: _Index | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle the knowledge body only, never its derived index.
+
+        The structural index is rebuilt lazily on the other side from the
+        items, the relations and the generation counter, exactly as it
+        was built here.
+        """
+        state = self.__dict__.copy()
+        state["_index"] = None
+        return state
+
+    @property
+    def generation(self) -> int:
+        """Generation counter, bumped by every :meth:`add_item` and every
+        :meth:`add_relation` that adds a relation.
+
+        Consumers that cache derived structures (the structural index
+        below, :class:`~repro.ontology.graph.OntologyGraph`'s adjacency
+        and distance rows) key them by this counter so a mutated
+        ontology never serves stale answers.
+        """
+        return self._generation
+
+    def _structure(self) -> _Index:
+        """The structural index of the current generation.
+
+        Built on the first query after a mutation.  The build works on
+        locals only and is published by one attribute assignment, so a
+        concurrent reader sees either the previous index or the whole
+        new one; two threads racing the same build publish equal tables.
+        """
+        index = self._index
+        if index is None or index.generation != self._generation:
+            index = _Index(self)
+            self._index = index
+        return index
 
     # ------------------------------------------------------------- storage
 
@@ -162,6 +201,7 @@ class Ontology:
         self._items[item.item_id] = item
         for name in item.all_names():
             self._by_name[name.lower()] = item.item_id
+        self._generation += 1
         return item
 
     def add_relation(self, source: int | str, kind: RelationKind, target: int | str) -> Relation:
@@ -171,6 +211,7 @@ class Ontology:
             return relation
         self._relations.append(relation)
         self._relation_set.add(relation)
+        self._generation += 1
         return relation
 
     # -------------------------------------------------------------- lookup
@@ -206,92 +247,173 @@ class Ontology:
 
     def relations_from(self, key: int | str, kind: RelationKind | None = None) -> list[Relation]:
         source = self.resolve(key).item_id
-        return [
-            r for r in self._relations
-            if r.source == source and (kind is None or r.kind == kind)
-        ]
+        return list(self._structure().outgoing.get((source, kind), ()))
 
     def relations_to(self, key: int | str, kind: RelationKind | None = None) -> list[Relation]:
         target = self.resolve(key).item_id
-        return [
-            r for r in self._relations
-            if r.target == target and (kind is None or r.kind == kind)
-        ]
+        return list(self._structure().incoming.get((target, kind), ()))
 
     def parents(self, key: int | str) -> list[Item]:
         """IS-A parents of an item."""
-        return [self.get(r.target) for r in self.relations_from(key, RelationKind.IS_A)]
+        return list(self._structure().parents[self.resolve(key).item_id])
 
     def ancestors(self, key: int | str) -> list[Item]:
         """All transitive IS-A ancestors, nearest first (BFS order)."""
-        start = self.resolve(key).item_id
-        seen: list[int] = []
-        frontier = [start]
-        while frontier:
-            next_frontier: list[int] = []
-            for node in frontier:
-                for relation in self.relations_from(node, RelationKind.IS_A):
-                    if relation.target not in seen and relation.target != start:
-                        seen.append(relation.target)
-                        next_frontier.append(relation.target)
-            frontier = next_frontier
-        return [self.get(item_id) for item_id in seen]
+        return list(self._structure().ancestors[self.resolve(key).item_id])
 
     def operations_of(self, key: int | str, inherit: bool = True) -> list[Item]:
         """Operations supported by a concept, optionally via IS-A chains."""
-        concept = self.resolve(key)
-        sources = [concept] + (self.ancestors(concept.item_id) if inherit else [])
-        operations: dict[int, Item] = {}
-        for source in sources:
-            for relation in self.relations_from(source.item_id, RelationKind.HAS_OPERATION):
-                operations.setdefault(relation.target, self.get(relation.target))
-        return list(operations.values())
+        return list(self._structure().operations[inherit][self.resolve(key).item_id])
 
     def has_operation(self, concept: int | str, operation: int | str, inherit: bool = True) -> bool:
         """Does ``concept`` support ``operation`` (directly or inherited)?"""
         target = self.resolve(operation).item_id
-        return any(op.item_id == target for op in self.operations_of(concept, inherit=inherit))
+        return target in self._structure().operation_ids[inherit][self.resolve(concept).item_id]
 
     def concepts_with_operation(self, operation: int | str, inherit: bool = True) -> list[Item]:
-        """All concepts supporting ``operation`` — the QA template
-        "Which data structure has the method X?"."""
-        result = []
-        for item in self.items_of_kind(ItemKind.CONCEPT):
-            if self.has_operation(item.item_id, operation, inherit=inherit):
-                result.append(item)
-        return result
+        """All concepts supporting ``operation``, in id order — the QA
+        template "Which data structure has the method X?"."""
+        target = self.resolve(operation).item_id
+        return list(self._structure().concepts_by_operation[inherit].get(target, ()))
 
     def properties_of(self, key: int | str, inherit: bool = True) -> list[Item]:
         """Properties of a concept (LIFO, FIFO, ...), optionally inherited."""
-        concept = self.resolve(key)
-        sources = [concept] + (self.ancestors(concept.item_id) if inherit else [])
-        properties: dict[int, Item] = {}
-        for source in sources:
-            for relation in self.relations_from(source.item_id, RelationKind.HAS_PROPERTY):
-                properties.setdefault(relation.target, self.get(relation.target))
-        return list(properties.values())
+        return list(self._structure().properties[inherit][self.resolve(key).item_id])
 
     def validate(self) -> list[str]:
         """Consistency problems (dangling relations, IS-A cycles)."""
-        problems = []
-        for relation in self._relations:
-            if relation.source not in self._items or relation.target not in self._items:
-                problems.append(f"dangling relation {relation}")
+        index = self._structure()
+        problems = [f"dangling relation {relation}" for relation in index.dangling]
         # IS-A cycles would make inheritance loop forever conceptually.
-        for item in self.items():
-            seen = {item.item_id}
-            frontier = [item.item_id]
-            while frontier:
-                node = frontier.pop()
-                for relation in self.relations_from(node, RelationKind.IS_A):
-                    if relation.target == item.item_id:
-                        problems.append(f"is-a cycle through {item.name!r}")
-                        frontier = []
-                        break
-                    if relation.target not in seen:
-                        seen.add(relation.target)
-                        frontier.append(relation.target)
+        problems.extend(
+            f"is-a cycle through {item.name!r}"
+            for item in index.items
+            if item.item_id in index.cyclic
+        )
         return problems
+
+
+class _Index:
+    """The structural tables of one ontology generation.
+
+    Every query of :class:`Ontology` reads these instead of scanning the
+    relation list.  Built whole from one generation and never mutated
+    afterwards; the public API copies what it hands out.
+
+    Attributes:
+        generation: the ontology generation the tables describe.
+        items: every item in id order.
+        outgoing / incoming: relations keyed by ``(source, kind)`` and
+            ``(target, kind)`` in insertion order; kind ``None`` keys all
+            kinds of one endpoint.
+        parents: each item's IS-A parents, in insertion order.
+        ancestors: each item's transitive IS-A ancestors in BFS order,
+            nearest first, excluding the item itself.
+        operations / properties: ``[inherit][item_id]`` -> ordered tuple
+            of the targets of the item's (and, when inheriting, its
+            ancestors') has-operation / has-property relations, first
+            occurrence wins.
+        operation_ids: the same operation sets as frozensets of ids.
+        concepts_by_operation: ``[inherit][operation_id]`` -> the concepts
+            supporting it, in id order.
+        dangling: relations whose endpoint is not an item (the public API
+            cannot create one).
+        cyclic: ids of the items that lie on an IS-A cycle.
+    """
+
+    __slots__ = (
+        "generation", "items", "outgoing", "incoming", "parents", "ancestors",
+        "operations", "operation_ids", "properties", "concepts_by_operation",
+        "dangling", "cyclic",
+    )
+
+    def __init__(self, ontology: Ontology) -> None:
+        # Stamp before reading: a mutation racing the build leaves this
+        # index stale by generation, so the next query rebuilds it.
+        self.generation = ontology._generation
+        items_by_id = dict(ontology._items)
+        self.items = tuple(items_by_id[item_id] for item_id in sorted(items_by_id))
+        outgoing: dict[tuple[int, RelationKind | None], list[Relation]] = {}
+        incoming: dict[tuple[int, RelationKind | None], list[Relation]] = {}
+        dangling = []
+        for relation in tuple(ontology._relations):
+            if relation.source not in items_by_id or relation.target not in items_by_id:
+                dangling.append(relation)
+                continue
+            for key in ((relation.source, relation.kind), (relation.source, None)):
+                outgoing.setdefault(key, []).append(relation)
+            for key in ((relation.target, relation.kind), (relation.target, None)):
+                incoming.setdefault(key, []).append(relation)
+        self.outgoing = {key: tuple(value) for key, value in outgoing.items()}
+        self.incoming = {key: tuple(value) for key, value in incoming.items()}
+        self.dangling = tuple(dangling)
+
+        def targets(item_id: int, kind: RelationKind) -> list[int]:
+            return [r.target for r in self.outgoing.get((item_id, kind), ())]
+
+        parent_ids = {item_id: targets(item_id, RelationKind.IS_A) for item_id in items_by_id}
+        ancestor_ids = {item_id: _bfs_ancestors(item_id, parent_ids) for item_id in items_by_id}
+        self.parents = {
+            item_id: tuple(items_by_id[p] for p in parents)
+            for item_id, parents in parent_ids.items()
+        }
+        self.ancestors = {
+            item_id: tuple(items_by_id[a] for a in ancestors)
+            for item_id, ancestors in ancestor_ids.items()
+        }
+        self.cyclic = frozenset(
+            item_id
+            for item_id, ancestors in ancestor_ids.items()
+            if any(item_id in parent_ids[node] for node in (item_id, *ancestors))
+        )
+
+        def closure(kind: RelationKind, inherit: bool) -> dict[int, tuple[Item, ...]]:
+            table = {}
+            for item_id in items_by_id:
+                sources = (item_id, *ancestor_ids[item_id]) if inherit else (item_id,)
+                found = dict.fromkeys(t for source in sources for t in targets(source, kind))
+                table[item_id] = tuple(items_by_id[t] for t in found)
+            return table
+
+        self.operations = {
+            inherit: closure(RelationKind.HAS_OPERATION, inherit) for inherit in (False, True)
+        }
+        self.properties = {
+            inherit: closure(RelationKind.HAS_PROPERTY, inherit) for inherit in (False, True)
+        }
+        self.operation_ids = {
+            inherit: {
+                item_id: frozenset(op.item_id for op in ops) for item_id, ops in table.items()
+            }
+            for inherit, table in self.operations.items()
+        }
+        self.concepts_by_operation = {}
+        for inherit, table in self.operations.items():
+            by_operation: dict[int, list[Item]] = {}
+            for item in self.items:
+                if item.kind == ItemKind.CONCEPT:
+                    for operation in table[item.item_id]:
+                        by_operation.setdefault(operation.item_id, []).append(item)
+            self.concepts_by_operation[inherit] = {
+                op_id: tuple(concepts) for op_id, concepts in by_operation.items()
+            }
+
+
+def _bfs_ancestors(start: int, parent_ids: dict[int, list[int]]) -> list[int]:
+    """Transitive IS-A ancestors of ``start``, level by level, each level
+    in parent-insertion order; terminates on cycles and never lists
+    ``start`` itself."""
+    seen: dict[int, None] = {}
+    frontier = [start]
+    while frontier:
+        next_frontier: list[int] = []
+        for node in frontier:
+            for target in parent_ids[node]:
+                if target not in seen and target != start:
+                    seen[target] = None
+                    next_frontier.append(target)
+        frontier = next_frontier
+    return list(seen)
 
 
 def next_free_id(ontology: Ontology, start: int = 1) -> int:

@@ -156,6 +156,54 @@ class TestDictionaryExclusions:
         assert theirs.match_right == ours.match_right
 
 
+class TestOntologyExclusions:
+    """The ontology ships items and relations, never its derived index."""
+
+    def test_index_is_excluded(self):
+        from repro.ontology.domains import build_data_structure_ontology
+
+        ontology = build_data_structure_ontology()
+        ontology.operations_of("stack")  # force the index to exist
+        assert ontology._index is not None
+        clone = roundtrip(ontology)
+        assert clone._index is None
+        assert clone.generation == ontology.generation
+
+    def test_queried_then_pickled_ontology_answers_identically(self):
+        from repro.ontology import OntologyGraph, RelationKind
+        from repro.ontology.domains import build_data_structure_ontology
+
+        ontology = build_data_structure_ontology()
+
+        def answers(onto):
+            graph = OntologyGraph(onto)
+            return [
+                (
+                    onto.relations_from(item.item_id),
+                    onto.relations_to(item.item_id, RelationKind.IS_A),
+                    [a.item_id for a in onto.ancestors(item.item_id)],
+                    [o.item_id for o in onto.operations_of(item.item_id)],
+                    [p.item_id for p in onto.properties_of(item.item_id, inherit=False)],
+                    [c.item_id for c in onto.concepts_with_operation(item.item_id)],
+                    graph.distances_from(item.item_id),
+                )
+                for item in onto.items()
+            ] + [onto.validate()]
+
+        expected = answers(ontology)
+        assert answers(roundtrip(ontology)) == expected
+
+    def test_spec_ships_the_ontology_without_its_index(self):
+        from repro.core.system import ELearningSystem, SystemConfig
+
+        system = ELearningSystem.with_defaults(SystemConfig(runtime_mode="process"))
+        system.pipeline.semantic_agent.ontology.operations_of("stack")
+        spec = roundtrip(system.pipeline.process_spec())
+        assert spec.ontology._index is None
+        assert spec.ontology.has_operation("stack", "push")
+        system.close()
+
+
 class TestParseCacheExclusion:
     def test_cache_ships_empty_with_its_policy(self):
         cache = ParseCacheStore(max_entries=7)

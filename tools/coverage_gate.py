@@ -19,7 +19,10 @@ below its committed floor.  Gated today:
 * ``src/repro/state``      against ``tests/state``      (floor 95%) —
   the fork/merge/delta protocol is what the process runtime ships
   across its boundary; an untested line there is silent state
-  divergence between parent and child.
+  divergence between parent and child;
+* ``src/repro/ontology``   against ``tests/ontology``   (floor 95%) —
+  the structural index and distance rows answer every semantic
+  verdict; an untested line there is a wrong correction.
 
 One pytest run covers all suites; coverage is attributed per subsystem
 afterwards, so cross-subsystem hits (the durability tests exercising
@@ -52,12 +55,14 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: landed (PR 5); durability measured 97% when the WAL/snapshot layer
 #: landed (PR 6); resilience measured 96.7% when the
 #: fault-tolerance subsystem landed (PR 7); state measured
-#: 100% when the process runtime landed (PR 8).
+#: 100% when the process runtime landed (PR 8); ontology measured
+#: 97.7% when its structural index landed.
 SUBSYSTEMS: tuple[tuple[str, str, float], ...] = (
     ("src/repro/corpus", "tests/corpus", 95.0),
     ("src/repro/durability", "tests/durability", 95.0),
     ("src/repro/resilience", "tests/resilience", 95.0),
     ("src/repro/state", "tests/state", 95.0),
+    ("src/repro/ontology", "tests/ontology", 95.0),
 )
 
 
