@@ -10,8 +10,7 @@ test:
 	$(PY) -m pytest -x -q
 
 # Just the @slow suites (CI's nightly job): full 200-seed segmented
-# parity at aggressive freeze cadence, chaos soak, process-drain
-# cadence sweep, full simulate runs.
+# parity at aggressive freeze cadence, chaos soak, full simulate runs.
 test-slow:
 	$(PY) -m pytest -m slow -q
 
@@ -37,11 +36,10 @@ bench:
 
 # Smoke check: 10% iteration counts, written to a scratch path so the
 # committed BENCH_parse.json (and its pinned seed baseline) stays put.
-# Includes the process_drain workload, so every CI run exercises a
-# 2-worker multiprocess drain end to end (spec pickling, child cycles,
-# delta merge), and the serving workload, so every CI run boots the
-# live HTTP front door under 4 concurrent clients, on top of the unit
-# suites.
+# Includes the parallel_drain workload, so every CI run exercises a
+# 4-worker thread-pool drain with its barrier merge end to end, and
+# the serving workload, so every CI run boots the live HTTP front door
+# under 4 concurrent clients, on top of the unit suites.
 bench-quick:
 	$(PY) -m repro bench --quick --output $${TMPDIR:-/tmp}/BENCH_quick.json
 

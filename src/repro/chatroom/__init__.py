@@ -14,7 +14,6 @@ from .room import ChatRoom, ChatRoomError
 from .runtime import (
     DrainBudget,
     MULTI_WORKER_MODES,
-    POOL_MODES,
     RUNTIME_MODES,
     SupervisionRuntime,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "MessageKind",
     "MULTI_WORKER_MODES",
     "Participant",
-    "POOL_MODES",
     "QA_AGENT_NAME",
     "Role",
     "RUNTIME_MODES",

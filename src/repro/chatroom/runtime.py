@@ -3,7 +3,7 @@
 ``ChatServer`` used to run the full Figure-3 supervision flow inline in
 ``post``: posting latency grew with agent work, and one hot room stalled
 every other room.  The runtime makes the boundary explicit and gives it
-three modes:
+four modes:
 
 ``inline``
     The legacy shape: supervisors run synchronously inside ``post``, no
@@ -47,46 +47,22 @@ three modes:
     free-threaded builds the pool adds real core parallelism; under the
     GIL the snapshot dedup is what the mode buys.
 
-``process``
-    The parallel layout with the barrier cycles running in **child
-    processes** — real core parallelism under the GIL.  Each shard owns
-    a long-lived single-process ``ProcessPoolExecutor`` whose child
-    holds a full private copy of the pipeline (built once from a pickled
-    spec — see :mod:`repro.chatroom.procworker`); per cycle the parent
-    ships only the item batch plus the sync deltas accumulated since the
-    shard's last dispatch, and receives a compact merged-delta (replica
-    merge payloads, buffered replies, stats, quarantine rows).  The
-    parent folds the deltas through the ordinary origin-seq merge, so
-    ``process`` snapshots are byte-identical to ``parallel``'s on the
-    same schedule.  A crashed child (``BrokenProcessPool``) is isolated
-    by rebuilding its pool and replaying the batch one item at a time:
-    the crasher dead-letters into quarantine, the rest of the batch is
-    supervised normally — the PR 7 failure contract, extended across
-    the process boundary.
-
 The cooperative modes are deterministic by construction; ``parallel``
-and ``process`` are deterministic in *outcome* (merged stores, stats,
-transcripts) for a fixed post/drain schedule, whatever the scheduler
-does.
+is deterministic in *outcome* (merged stores, stats, transcripts) for a
+fixed post/drain schedule, whatever the scheduler does.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
-from .procworker import ShardProcessSpec, child_cycle, child_init, item_to_wire
 from .shard import SupervisionItem, SupervisionWorker, dispatch, shard_of
 
-RUNTIME_MODES = ("inline", "queued", "sharded", "parallel", "process")
+RUNTIME_MODES = ("inline", "queued", "sharded", "parallel")
 
 #: Modes that spread rooms across more than one worker.
-MULTI_WORKER_MODES = ("sharded", "parallel", "process")
-
-#: Modes whose drains run on an executor the caller must close().
-POOL_MODES = ("parallel", "process")
+MULTI_WORKER_MODES = ("sharded", "parallel")
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,16 +160,6 @@ class SupervisionRuntime:
         self._bindings: list[list] = [[] for _ in self.workers]
         self._barrier_supervisors: list = []
         self._executor: ThreadPoolExecutor | None = None
-        # Process mode: supervisors shipped to children as pickled specs,
-        # per-(worker, supervisor) parent-side stats sinks, one
-        # single-process pool per shard (a shared pool cannot pin a
-        # shard to its warm child), and per-shard queues of sync groups
-        # not yet shipped (a shard only hears about other shards' merges
-        # on its next dispatch).
-        self._proc_supervisors: list = []
-        self._proc_sinks: list[list] = [[] for _ in self.workers]
-        self._pools: list[ProcessPoolExecutor] | None = None
-        self._pending_sync: list[list] = [[] for _ in self.workers]
 
     # --------------------------------------------------------- supervisors
 
@@ -223,27 +189,6 @@ class SupervisionRuntime:
         the caller's thread, in post order, after the merge.
         """
         self._prototypes.append(supervisor)
-        if self.mode == "process":
-            if self._pools is not None:
-                raise RuntimeError(
-                    "cannot add supervisors after the process pool started: "
-                    "the child processes were built from the earlier spec"
-                )
-            spec_fn = getattr(supervisor, "process_spec", None)
-            absorb = getattr(supervisor, "absorb_shard_delta", None)
-            if spec_fn is None or absorb is None:
-                self._barrier_supervisors.append(supervisor)
-                return
-            clone = getattr(supervisor, "clone", None)
-            self._proc_supervisors.append(supervisor)
-            for worker in self.workers:
-                # Per-worker stats sink: shipped per-cycle stats deltas
-                # and merge-time FAQ corrections land here, so
-                # combined_stats() aggregates exactly like parallel mode.
-                self._proc_sinks[worker.index].append(
-                    clone() if clone is not None else None
-                )
-            return
         if self.mode == "parallel":
             fork = getattr(supervisor, "fork_shard", None)
             if fork is None:
@@ -302,8 +247,6 @@ class SupervisionRuntime:
                 resilience.on_drain()
             if self.mode == "parallel":
                 done = self._drain_parallel(server)
-            elif self.mode == "process":
-                done = self._drain_process(server)
             else:
                 memo: dict = {}
                 progressed = True
@@ -412,208 +355,6 @@ class SupervisionRuntime:
                         dispatch(supervisor, server, item, None)
             done += handled
 
-    # ------------------------------------------------------- process mode
-
-    def _shard_spec_blob(self) -> bytes:
-        """Pickle the child-construction spec from the *current* bases.
-
-        Called once when the pools spin up — and again only to rebuild a
-        crashed shard, the sole case where a replica bundle is ever
-        re-pickled after the first dispatch.
-        """
-        retry = breaker = None
-        if self.resilience is not None:
-            retry = self.resilience.retry
-            breaker = next(iter(self.resilience.breakers.values())).policy
-        spec = ShardProcessSpec(
-            supervisors=[sup.process_spec() for sup in self._proc_supervisors],
-            retry=retry,
-            breaker=breaker,
-        )
-        return pickle.dumps(spec)
-
-    def _new_pool(self, blob: bytes) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1, initializer=child_init, initargs=(blob,)
-        )
-
-    def _rebuild_pool(self, index: int) -> None:
-        """Replace shard ``index``'s (broken) pool with a warm rebuild.
-
-        The fresh child is constructed from the parent's *current* base
-        stores, so its pending-sync queue starts empty — every merge the
-        old child missed is already folded into the new spec.
-        """
-        self._pools[index].shutdown(wait=False)
-        self._pools[index] = self._new_pool(self._shard_spec_blob())
-        self._pending_sync[index] = []
-
-    def _absorb_result(self, index: int, result) -> int:
-        """Fold one shard's cycle result into the parent state (barrier).
-
-        Deltas merge through each supervisor's ``absorb_shard_delta``
-        (the ordinary origin-seq merge); shipped stats deltas and the
-        merge-time FAQ corrections credit the worker's stats sink, and
-        quarantine rows + counter deltas fold into the controller with
-        their journal writes buffered for the caller-thread flush.
-        """
-        sinks = self._proc_sinks[index]
-        for supervisor, sink, delta, stats in zip(
-            self._proc_supervisors, sinks, result.deltas, result.stats
-        ):
-            corrections = supervisor.absorb_shard_delta(delta)
-            if sink is not None:
-                sink.stats.merge(stats)
-                sink.stats.faq_hits += corrections
-        if self.resilience is not None and (result.quarantined or result.counters):
-            self.resilience.absorb_worker_results(result.quarantined, result.counters)
-        return result.handled
-
-    def _broadcast_sync(self, group: list) -> None:
-        """Queue one barrier's delta group for every shard's next dispatch."""
-        for pending in self._pending_sync:
-            pending.append(group)
-
-    def _flush_replies(self, server, replies: list) -> None:
-        replies.sort(key=lambda reply: (reply[0], reply[1]))
-        for _seq, _n, room, agent, text, message, severity in replies:
-            server.post_agent_reply(room, agent, text, message, severity)
-
-    def _isolate_broken_shard(self, server, index: int, batch: list) -> int:
-        """Recover a shard whose child process died mid-batch.
-
-        The dead child returned no delta, so none of its cycle's writes
-        happened — the whole batch is intact.  Rebuild the pool and
-        replay the batch one item per dispatch: an item that kills the
-        fresh child too is the poison and dead-letters parent-side; the
-        rest supervise normally, each mini-cycle merging and syncing
-        like an ordinary barrier.
-        """
-        from repro.resilience.quarantine import QuarantinedItem
-
-        handled = 0
-        self._rebuild_pool(index)
-        for item in batch:
-            future = self._pools[index].submit(
-                child_cycle,
-                self._pending_sync[index],
-                [item_to_wire(item)],
-            )
-            self._pending_sync[index] = []
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                row = QuarantinedItem.from_item(
-                    item,
-                    stage="dispatch",
-                    error="child process crashed (BrokenProcessPool)",
-                )
-                if self.resilience is not None:
-                    self.resilience.absorb_worker_results([row])
-                handled += 1
-                self._rebuild_pool(index)
-                continue
-            handled += self._absorb_result(index, result)
-            self._broadcast_sync([result.deltas])
-            self._flush_replies(server, list(result.replies))
-            if self.resilience is not None:
-                self.resilience.flush_journal()
-        return handled
-
-    def _drain_process(self, server) -> int:
-        """Drain in barrier-separated cycles on the child-process pools.
-
-        The cycle shape mirrors :meth:`_drain_parallel` with the state
-        crossing a process boundary: the caller's thread pops each
-        shard's batch, runs admission/replay *parent-side* (a child-side
-        breaker deferring an item would strand it in the wrong process),
-        ships batch + pending sync groups to the shard's warm child, and
-        at the barrier folds every returned delta into the base stores
-        in shard order, broadcasts the cycle's delta group to all
-        shards, flushes the buffered replies in post order, journals the
-        quarantine rows, and hands barrier observers the cycle's items.
-        """
-        if self._pools is None:
-            blob = self._shard_spec_blob()
-            self._pools = [self._new_pool(blob) for _ in self.workers]
-        resilience = self.resilience
-        done = 0
-        while True:
-            if resilience is not None:
-                released = resilience.take_releasable()
-                if released:
-                    self.requeue_items(released)
-            batches = [worker.take_batch(self.batch_size) for worker in self.workers]
-            if sum(len(batch) for batch in batches) == 0:
-                return done
-            # Parent-side admission and recovery replay, mirroring
-            # supervise_item's front half; only admitted items ship.
-            shipped: list[list[SupervisionItem]] = []
-            for worker, batch in zip(self.workers, batches):
-                keep: list[SupervisionItem] = []
-                for item in batch:
-                    if resilience is not None:
-                        replayed = resilience.consume_replay(item.message.seq)
-                        if replayed is not None:
-                            resilience.quarantine_replayed(replayed)
-                            worker.processed += 1
-                            done += 1
-                            continue
-                        if not resilience.admit(item):
-                            continue
-                    keep.append(item)
-                shipped.append(keep)
-            futures = {}
-            for worker, batch in zip(self.workers, shipped):
-                if not batch:
-                    continue
-                groups = self._pending_sync[worker.index]
-                self._pending_sync[worker.index] = []
-                futures[worker.index] = self._pools[worker.index].submit(
-                    child_cycle, groups, [item_to_wire(item) for item in batch]
-                )
-            wait(list(futures.values()))
-            # Absorb successful shards first, in shard order — their
-            # deltas form this barrier's sync group; broken shards are
-            # isolated afterwards as their own mini-barriers.
-            broken: list[int] = []
-            group: list = []
-            replies: list = []
-            for index in sorted(futures):
-                error = futures[index].exception()
-                if isinstance(error, BrokenProcessPool):
-                    broken.append(index)
-                    continue
-                result = futures[index].result()  # re-raises child errors
-                group.append(result.deltas)
-                replies.extend(result.replies)
-                handled = self._absorb_result(index, result)
-                self.workers[index].processed += handled
-                done += handled
-            if group:
-                self._broadcast_sync(group)
-            self._flush_replies(server, replies)
-            if resilience is not None:
-                resilience.flush_journal()
-            for index in broken:
-                handled = self._isolate_broken_shard(server, index, shipped[index])
-                self.workers[index].processed += handled
-                done += handled
-            if self._barrier_supervisors:
-                deferred = resilience.deferred_seqs() if resilience is not None else ()
-                items = sorted(
-                    (
-                        item
-                        for batch in batches
-                        for item in batch
-                        if item.message.seq not in deferred
-                    ),
-                    key=lambda item: item.message.seq,
-                )
-                for item in items:
-                    for supervisor in self._barrier_supervisors:
-                        dispatch(supervisor, server, item, None)
-
     def requeue_items(self, items: list[SupervisionItem]) -> None:
         """Put items back at the front of their shards' queues, in seq
         order — released deferred work, redriven quarantine rows and
@@ -668,16 +409,9 @@ class SupervisionRuntime:
         return sum(worker.shed for worker in self.workers)
 
     def close(self) -> None:
-        """Shut down the worker pools (idempotent; the cooperative modes
-        have nothing to release).  ``parallel`` releases its thread
-        pool; ``process`` shuts every shard's child process down and
-        waits for clean exits."""
+        """Shut down the ``parallel`` thread pool (idempotent; the
+        cooperative modes have nothing to release)."""
         executor = self._executor
         if executor is not None:
             self._executor = None
             executor.shutdown(wait=True)
-        pools = self._pools
-        if pools is not None:
-            self._pools = None
-            for pool in pools:
-                pool.shutdown(wait=True)

@@ -258,51 +258,6 @@ class SupervisionPipeline:
         self._clones.append(twin)
         return twin, stores
 
-    def process_spec(self):
-        """The pickled construction recipe for a child-process twin.
-
-        Everything a :meth:`fork_shard` twin derives from live objects is
-        reduced to plain data: the dictionary (its pickle surface drops
-        the interned tables, lock and shared parse cache), the ontology,
-        the parse options and policy knobs, and the current base stores.
-        The child rebuilds keyword filter, agents, QA wiring and parse
-        caches from scratch — see
-        :class:`~repro.chatroom.procworker.PipelineProcessSpec`.
-        """
-        from .procworker import PipelineProcessSpec
-
-        angel = self.learning_angel
-        semantic = self.semantic_agent
-        return PipelineProcessSpec(
-            dictionary=angel.analyzer.dictionary,
-            ontology=semantic.ontology,
-            parse_options=angel.options,
-            policy=self.policy,
-            repair=angel.repairer is not None,
-            related_threshold=semantic.evaluator.related_threshold,
-            max_suggestions=semantic.max_suggestions,
-            corpus=angel.corpus,
-            profiles=self.profiles,
-            faq=self.qa_system.faq,
-        )
-
-    def absorb_shard_delta(self, delta) -> int:
-        """Fold one worker's shipped store delta into the live bases.
-
-        The parent-side half of the ``process`` barrier: the delta's
-        :class:`~repro.state.delta.ReplicaDelta` payloads feed the same
-        ``merge()`` implementations :meth:`ShardStores.merge` uses, so
-        the merged state is identical to a thread-pool barrier.  Returns
-        the FAQ *corrections* count — cross-shard duplicate questions
-        that count as hits, credited by the runtime to the originating
-        worker's stats sink exactly as ``ShardStores.merge`` credits the
-        worker twin.
-        """
-        if delta.corpus is not None and self.learning_angel.corpus is not None:
-            self.learning_angel.corpus.merge(delta.corpus)
-        self.profiles.merge(delta.profiles)
-        return self.qa_system.faq.merge(delta.faq)
-
     def combined_stats(self) -> SupervisionStats:
         """This pipeline's stats merged with every clone's (global view)."""
         if not self._clones:

@@ -21,6 +21,7 @@ import argparse
 import sys
 
 from repro.agents import SemanticAgent
+from repro.chatroom.runtime import MULTI_WORKER_MODES, RUNTIME_MODES
 from repro.linkgrammar import Parser, SentenceRepairer
 from repro.linkgrammar.diagram import render
 from repro.linkgrammar.lexicon import default_dictionary
@@ -85,10 +86,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.corpus import StatisticAnalyzer
     from repro.simulation import ClassroomSession
 
-    workers = args.workers if args.workers is not None else args.shards
     config = SystemConfig(
         runtime_mode=args.runtime,
-        shards=workers,
+        shards=args.shards,
         max_pending=args.max_pending,
         data_dir=args.data_dir,
         fsync=args.fsync,
@@ -103,8 +103,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     finally:
         system.close()  # release the parallel worker pool
     stats = system.stats
-    if args.runtime in ("sharded", "parallel", "process"):
-        print(f"runtime={args.runtime} workers={workers} "
+    if args.runtime in MULTI_WORKER_MODES:
+        print(f"runtime={args.runtime} workers={args.shards} "
               f"worker_messages={system.runtime.worker_loads()}")
     if system.supervision_shed:
         print(f"shed={system.supervision_shed} (max_pending={args.max_pending})")
@@ -297,17 +297,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--runtime",
-        choices=["inline", "queued", "sharded", "parallel", "process"],
+        choices=RUNTIME_MODES,
         default="queued",
         help="supervision scheduling mode (see docs/runtime.md)",
     )
     p.add_argument("--shards", type=int, default=4,
                    help="shard/worker count for the multi-worker "
-                        "runtimes (sharded, parallel, process)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="alias for --shards (the parallel/process "
-                        "runtimes' natural spelling); wins when both "
-                        "are given")
+                        "runtimes (sharded, parallel)")
     p.add_argument("--max-pending", type=int, default=None,
                    help="per-shard supervision queue bound; overloaded "
                         "shards shed their oldest pending message")
@@ -338,7 +334,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         "can also be created over HTTP (POST /rooms)")
     p.add_argument(
         "--runtime",
-        choices=["inline", "queued", "sharded", "parallel", "process"],
+        choices=RUNTIME_MODES,
         default="queued",
         help="supervision scheduling mode behind the front door",
     )

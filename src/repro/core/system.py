@@ -64,9 +64,9 @@ class SystemConfig:
             ``queued`` (default; drain-after-post, byte-identical to
             inline), ``sharded`` (rooms sharded across workers, agent
             work drained in deduplicated batches off the posting path)
-            or ``parallel``/``process`` (sharded with shard-local store
-            replicas, drained on a thread pool or on per-shard child
-            processes and merged at barriers — see docs/runtime.md).
+            or ``parallel`` (sharded with shard-local store replicas,
+            drained on a thread pool and merged at barriers — see
+            docs/runtime.md).
         shards: worker/shard count for the ``sharded``/``parallel``
             modes.
         supervision_batch: items per worker per drain pass.
@@ -363,7 +363,7 @@ class ELearningSystem:
 
         In the default runtime modes supervision has already run by the
         time this returns; under a deferred-drain runtime (``sharded``,
-        ``parallel``, ``process``, or ``auto_drain=False``) call
+        ``parallel``, or ``auto_drain=False``) call
         :meth:`drain` to flush the queued agent work — or set
         ``SystemConfig.drain_budget`` and the system drains itself here
         whenever the backlog or the virtual time since the last drain

@@ -380,12 +380,6 @@ class FrozenSegment:
     def __len__(self) -> int:
         return self.count
 
-    def __reduce__(self):
-        # A segment pickled standalone reopens from its path with its
-        # embedded vocabulary dump; SegmentedCorpus re-shares the live
-        # vocabularies itself in __setstate__.
-        return (type(self), (str(self.path),))
-
     # ----------------------------------------- RecordStore decode surface
 
     def view(self, position: int) -> RecordView:
@@ -1677,24 +1671,6 @@ class SegmentedCorpus(LearnerCorpus):
         )
 
     # ------------------------------------------------------------ lifecycle
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_segments"] = [str(segment.path) for segment in self._segments]
-        # Process-pool workers reopen the (same-machine) segment files;
-        # tempdir ownership, durability hooks and facades stay behind.
-        state["_tempdir"] = None
-        state["on_freeze"] = None
-        state["on_compact"] = None
-        state["_columns_facade"] = None
-        state["_index_facade"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._segments = [
-            FrozenSegment(path, self._vocabs) for path in state["_segments"]
-        ]
 
     def close(self) -> None:
         """Release every mapped segment (and the owned tempdir).  The

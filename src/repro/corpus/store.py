@@ -451,25 +451,11 @@ class CorpusReplica:
     def __getattr__(self, name: str):
         # Query primitives (record_at, token_positions, correct_records,
         # columns, ...) delegate wholesale; writes are overridden above.
-        # object.__getattribute__ keeps delegation out of the pickle
-        # path: while unpickling, special-method probes arrive before
-        # _base is restored and must raise, not recurse.
+        # object.__getattribute__ keeps the lookup from recursing: a
+        # probe that arrives before the _base slot is set must raise
+        # AttributeError, not delegate to itself.
         try:
             base = object.__getattribute__(self, "_base")
         except AttributeError:
             raise AttributeError(name) from None
         return getattr(base, name)
-
-    def __getstate__(self) -> dict:
-        """Explicit pickle surface: the slots, nothing implicit.
-
-        The base store travels with the replica — a replica is only
-        meaningful against its fork-point snapshot — and everything in
-        the slot set is plain data (the corpus holds no locks or caches
-        that cannot cross a process).
-        """
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)

@@ -335,68 +335,6 @@ def bench_parallel_drain(rooms: int = 16, rounds: int = 12, workers: int = 4) ->
     }
 
 
-def bench_process_drain(rooms: int = 16, rounds: int = 12, workers: int = 2) -> dict:
-    """Child-process (``process``) drain throughput vs the thread-pool
-    ``parallel`` drain, same rooms, same error-heavy traffic, same
-    worker count.
-
-    Both modes run the identical barrier-cycle protocol; the variable
-    is where the cycle executes.  ``parallel`` pays the GIL (its pool
-    threads serialize all Python-level analysis work); ``process`` pays
-    the boundary instead — pickling the per-cycle batch and merged-delta
-    both ways — and buys real core parallelism.  On a single-core host
-    the boundary tax is all loss, so the report records ``cores``: the
-    schema gate only expects a process speedup when the machine can
-    actually provide one (>= 2 cores).  Merged-state parity with the
-    cooperative modes is asserted by
-    ``tests/chatroom/test_process_runtime.py``; this workload prices
-    the IPC amortisation (children warm once; per cycle only batches
-    and deltas cross).
-    """
-    import os
-
-    from repro.core.system import ELearningSystem, SystemConfig
-
-    def build(config: "SystemConfig") -> "ELearningSystem":
-        system = ELearningSystem.with_defaults(config)
-        for index in range(rooms):
-            system.open_room(f"room-{index}", topic="t")
-            system.join(f"room-{index}", "u")
-        for text in ERROR_HEAVY_MESSAGES:
-            for index in range(rooms):
-                system.say(f"room-{index}", "u", text)
-            system.drain()
-        return system
-
-    def run(system: "ELearningSystem") -> float:
-        posted = 0
-        start = time.perf_counter()
-        for i in range(rounds):
-            text = ERROR_HEAVY_MESSAGES[i % len(ERROR_HEAVY_MESSAGES)]
-            for index in range(rooms):
-                system.say(f"room-{index}", "u", text)
-                posted += 1
-            system.drain()
-        return posted / (time.perf_counter() - start)
-
-    with build(SystemConfig(runtime_mode="parallel", shards=workers)) as thread_system:
-        thread_rate = run(thread_system)
-    with build(SystemConfig(runtime_mode="process", shards=workers)) as process_system:
-        process_rate = run(process_system)
-        worker_messages = process_system.runtime.worker_loads()
-    return {
-        "rooms": rooms,
-        "rounds": rounds,
-        "workers": workers,
-        "cores": os.cpu_count() or 1,
-        "messages": rooms * rounds,
-        "thread_messages_per_sec": thread_rate,
-        "process_messages_per_sec": process_rate,
-        "process_speedup_vs_thread": round(process_rate / thread_rate, 2),
-        "worker_messages": worker_messages,
-    }
-
-
 #: Stopword backbone of the synthetic corpus-scale workload: every
 #: record carries half of these, so their document frequencies cross the
 #: default ``IndexConfig.stopword_df_cap`` long before the small corpus
@@ -929,7 +867,6 @@ def run_report(quick: bool = False) -> dict:
             "post_latency": bench_post_latency(messages=n(2000)),
             "multi_room_scale": bench_multi_room_scale(rounds=max(2, n(12))),
             "parallel_drain": bench_parallel_drain(rounds=max(2, n(12))),
-            "process_drain": bench_process_drain(rounds=max(2, n(12))),
             "corpus_scale": bench_corpus_scale(
                 records_small=n(10_000), records_large=n(250_000)
             ),
@@ -970,15 +907,6 @@ REQUIRED_WORKLOAD_METRICS: dict[str, tuple[str, ...]] = {
         "sharded_messages_per_sec",
         "parallel_messages_per_sec",
         "parallel_speedup_vs_sharded",
-    ),
-    "process_drain": (
-        "rooms",
-        "workers",
-        "cores",
-        "messages",
-        "thread_messages_per_sec",
-        "process_messages_per_sec",
-        "process_speedup_vs_thread",
     ),
     "corpus_scale": (
         "records_small",
@@ -1040,7 +968,6 @@ _POST_SEED_WORKLOADS = frozenset(
         "post_latency",
         "multi_room_scale",
         "parallel_drain",
-        "process_drain",
         "corpus_scale",
         "corpus_memory",
         "recovery",

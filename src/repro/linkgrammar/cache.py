@@ -53,16 +53,6 @@ class ParseCacheStore:
         self._generation: int | None = None
         self._lock = threading.Lock()
 
-    def __reduce__(self) -> tuple:
-        """Pickle as an *empty* store of the same bound.
-
-        The LRU contents are process-local by design — entries hold live
-        parse results keyed partly by object identity, the lock cannot
-        cross a process, and a child process warms its own cache against
-        its own dictionary generation.  Only the configuration travels.
-        """
-        return (type(self), (self.max_entries,))
-
     # ------------------------------------------------------------ scoping
 
     def sync_generation(self, version: int) -> None:

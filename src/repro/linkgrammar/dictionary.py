@@ -77,28 +77,6 @@ class Dictionary:
         self._tables_lock = threading.Lock()
         self._shared_cache: ParseCacheStore | None = None
 
-    def __getstate__(self) -> dict:
-        """Pickle only the lexicon itself.
-
-        The interned parse tables, their build lock and the shared parse
-        cache are process-local machinery: the tables hold identity-keyed
-        connector match tables that would be both large and useless in
-        another process, the lock is unpicklable by definition, and a
-        cache full of another process's hot sentences is dead weight.
-        All three are rebuilt lazily on the other side from the entries
-        and the generation counter, exactly as they were built here.
-        """
-        state = self.__dict__.copy()
-        state["_tables"] = None
-        state["_tables_version"] = -1
-        state["_shared_cache"] = None
-        del state["_tables_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._tables_lock = threading.Lock()
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -135,17 +135,6 @@ class Ontology:
         self._generation = 0
         self._index: _Index | None = None
 
-    def __getstate__(self) -> dict:
-        """Pickle the knowledge body only, never its derived index.
-
-        The structural index is rebuilt lazily on the other side from the
-        items, the relations and the generation counter, exactly as it
-        was built here.
-        """
-        state = self.__dict__.copy()
-        state["_index"] = None
-        return state
-
     @property
     def generation(self) -> int:
         """Generation counter, bumped by every :meth:`add_item` and every

@@ -388,18 +388,10 @@ class FAQReplica:
 
     def __getattr__(self, name: str):
         # Reads (pairs, top, total_questions, ...) see the snapshot.
-        # The explicit lookup keeps unpickling (which probes special
-        # methods before _base is restored) from recursing.
+        # The explicit lookup keeps a probe that arrives before _base is
+        # set from recursing.
         try:
             base = object.__getattribute__(self, "_base")
         except AttributeError:
             raise AttributeError(name) from None
         return getattr(base, name)
-
-    def __getstate__(self) -> dict:
-        """Explicit pickle surface: the slots, nothing implicit."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)

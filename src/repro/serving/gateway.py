@@ -151,12 +151,12 @@ class ChatGateway:
         }
 
     def health(self) -> dict:
-        """The liveness summary ``GET /healthz`` serves (lock-free-ish:
-        counters only, no store traversals)."""
+        """The summary ``GET /healthz`` serves: the health registry's
+        overall status (``ok``/``degraded``) plus counters."""
         system = self.system
         with self._admission:
             return {
-                "status": "ok",
+                "status": system.health().status,
                 "rooms": len(system.server.rooms),
                 "messages": system.server.total_messages(),
                 "pending_supervision": system.pending_supervision,

@@ -20,7 +20,7 @@ Endpoints (all bodies and responses are JSON unless noted):
                                            verdicts and agent replies
                                            (``?room=`` filters; ``?limit=`` /
                                            ``?timeout=`` bound the stream)
-``GET /healthz``                           liveness counters
+``GET /healthz``                           health status + counters
 =========================================  ====================================
 
 Each request runs on its own server thread; mutations serialize through
@@ -84,7 +84,12 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not declared.isdecimal():
+            # Digits only: a negative length would make rfile.read()
+            # read to EOF and park the handler.
+            raise ApiError(400, f"invalid Content-Length: {declared!r}")
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ApiError(400, "request body must be a JSON object")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chatroom import MessageKind, Role, SupervisionRuntime
+from repro.chatroom import DrainBudget, MessageKind, Role, SupervisionRuntime
 from repro.core.system import ELearningSystem, SystemConfig
 from repro.ontology.domains import default_ontology
 from repro.simulation import ErrorInjector, SentenceGenerator
@@ -138,6 +138,15 @@ class TestMergedStateEqualsQueued:
     @pytest.mark.parametrize("drain_every", [1, 7, None])
     def test_merged_stores_and_stats_bit_identical(self, queued_states, drain_every):
         parallel = full_state(run_workload(parallel_config(3), drain_every))
+        reference = queued_states[drain_every]
+        for surface in ("corpus", "profiles", "faq", "stats"):
+            assert parallel[surface] == reference[surface], surface
+        assert_transcripts_match(parallel["transcripts"], reference["transcripts"])
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("drain_every", [1, 7, None])
+    def test_full_sweep_workers_and_cadences(self, queued_states, workers, drain_every):
+        parallel = full_state(run_workload(parallel_config(workers), drain_every))
         reference = queued_states[drain_every]
         for surface in ("corpus", "profiles", "faq", "stats"):
             assert parallel[surface] == reference[surface], surface
@@ -365,3 +374,83 @@ class TestFailureIsolation:
         assert row.text == "boom"
         assert "supervisor blew up" in row.error
         runtime.close()
+
+
+class TestDrainBudget:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            DrainBudget(max_pending_posts=0)
+        with pytest.raises(ValueError):
+            DrainBudget(max_interval=0.0)
+
+    def test_due_triggers(self):
+        budget = DrainBudget(max_pending_posts=3, max_interval=10.0)
+        assert not budget.due(2, 9.0)
+        assert budget.due(3, 0.0)   # post-count trigger
+        assert budget.due(0, 10.0)  # interval trigger
+        assert not DrainBudget().due(10_000, 10_000.0)  # no trigger armed
+
+    @pytest.mark.parametrize(
+        "budget",
+        [DrainBudget(max_pending_posts=5), DrainBudget(max_interval=4.0)],
+        ids=["post-count", "interval"],
+    )
+    def test_budget_reaches_explicit_drain_state_with_zero_drain_calls(
+        self, budget
+    ):
+        """A deferred system with a budget converges to the same final
+        snapshot as an explicit-drain run — without the caller ever
+        calling drain() (close() flushes the final partial batch)."""
+        reference = full_state(
+            run_workload(SystemConfig(runtime_mode="queued", auto_drain=False), 5)
+        )
+
+        config = SystemConfig(runtime_mode="parallel", shards=2, drain_budget=budget)
+        system = ELearningSystem.with_defaults(config)
+        drains = {"n": 0}
+        inner_drain = system.server.drain_supervision
+
+        def counting_drain():
+            drains["n"] += 1
+            return inner_drain()
+
+        system.server.drain_supervision = counting_drain
+        for room in ROOMS:
+            system.open_room(room, topic="t")
+            system.join(room, f"{room}-kid")
+            system.join(room, "prof", Role.TEACHER)
+        for index, (room, user, text) in enumerate(scripted_messages()):
+            system.say(room, user, text)
+            if index % 11 == 0:
+                system.say(room, "prof", "Good question.")
+        assert drains["n"] > 0  # the budget fired mid-traffic on its own
+        system.close()  # flushes the tail unconditionally
+        assert system.supervision_backlog == 0
+        state = full_state(system)
+        for surface in ("corpus", "profiles", "faq", "stats"):
+            assert state[surface] == reference[surface], surface
+
+    def test_budget_ignored_by_auto_drain_modes(self):
+        config = SystemConfig(
+            runtime_mode="queued", drain_budget=DrainBudget(max_pending_posts=1)
+        )
+        system = ELearningSystem.with_defaults(config)
+        system.open_room("r", topic="t")
+        system.join("r", "kid")
+        system.say("r", "kid", "What is a queue?")  # would recurse otherwise
+        assert system.stats.messages == 1
+        system.close()
+
+
+class TestLifecycle:
+    def test_system_close_drains_backlog_and_is_idempotent(self):
+        system = ELearningSystem.with_defaults(parallel_config(2))
+        system.open_room("r", topic="t")
+        system.join("r", "kid")
+        system.say("r", "kid", "I push the data into a tree.")
+        assert system.pending_supervision == 1
+        system.close()  # in-memory system: the backlog still drains
+        assert system.supervision_backlog == 0
+        assert system.stats.messages == 1
+        assert system.runtime._executor is None  # thread pool released
+        system.close()  # idempotent

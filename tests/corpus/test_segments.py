@@ -11,7 +11,6 @@ mechanisms those sweeps rely on.
 
 from __future__ import annotations
 
-import pickle
 from random import Random
 
 import pytest
@@ -240,16 +239,6 @@ class TestCompaction:
 
 
 class TestPersistence:
-    def test_pickle_round_trip(self):
-        segmented, plain = segmented_pair(n=30, cadence=6)
-        clone = pickle.loads(pickle.dumps(segmented))
-        assert clone.snapshot() == plain.snapshot()
-        assert clone.frozen_records == segmented.frozen_records
-        for word in WORDS:
-            assert clone.token_positions(word) == plain.token_positions(word)
-        clone.close()
-        segmented.close()
-
     def test_columnar_round_trip_between_segmented_corpora(self, tmp_path):
         segmented, plain = segmented_pair(n=30, cadence=6)
         document = segmented.to_columnar()

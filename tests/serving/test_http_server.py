@@ -9,26 +9,37 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
-from repro.core.system import ELearningSystem
+from repro.chatroom import MULTI_WORKER_MODES, RUNTIME_MODES
+from repro.core.system import ELearningSystem, SystemConfig
+from repro.resilience import RuntimeFaultPlan
 from repro.serving import ApiError, ChatGateway, ChatHTTPServer
 
 
-@pytest.fixture(scope="module")
-def served():
-    system = ELearningSystem.with_defaults()
+@contextmanager
+def serving(system: ELearningSystem):
     gateway = ChatGateway(system)
     httpd = ChatHTTPServer(gateway)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
-    yield system, gateway, httpd
-    httpd.shutdown()
-    httpd.server_close()
-    system.close()
+    try:
+        yield system, gateway, httpd
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        system.close()
+
+
+@pytest.fixture(scope="module")
+def served():
+    with serving(ELearningSystem.with_defaults()) as stack:
+        yield stack
 
 
 def request(httpd, method: str, path: str, body: dict | None = None):
@@ -245,6 +256,91 @@ class TestHealth:
         assert body["rooms"] == len(system.server.rooms)
         assert body["messages"] == system.server.total_messages()
         assert body["runtime"] == "queued"
+
+    def test_healthz_reports_degraded_after_a_quarantine(self):
+        faults = RuntimeFaultPlan(fail_at=1, fail_times=3)
+        system = ELearningSystem.with_defaults(SystemConfig(runtime_faults=faults))
+        with serving(system) as (_, _, httpd):
+            request(httpd, "POST", "/rooms", {"name": "sick"})
+            request(httpd, "POST", "/rooms/sick/join", {"user": "u"})
+            request(httpd, "POST", "/rooms/sick/messages",
+                    {"user": "u", "text": "The stack is full."})
+            assert system.quarantined == 1
+            status, body = request(httpd, "GET", "/healthz")
+        assert status == 200
+        assert body["status"] == "degraded"
+        assert body["quarantined"] == 1
+
+    def test_healthz_returns_to_ok_after_a_redrive(self):
+        faults = RuntimeFaultPlan(fail_at=1, fail_times=3)
+        system = ELearningSystem.with_defaults(SystemConfig(runtime_faults=faults))
+        with serving(system) as (_, _, httpd):
+            request(httpd, "POST", "/rooms", {"name": "sick"})
+            request(httpd, "POST", "/rooms/sick/join", {"user": "u"})
+            request(httpd, "POST", "/rooms/sick/messages",
+                    {"user": "u", "text": "The stack is full."})
+            assert request(httpd, "GET", "/healthz")[1]["status"] == "degraded"
+            assert system.redrive() == 1  # the fault plan is spent
+            status, body = request(httpd, "GET", "/healthz")
+        assert status == 200
+        assert body["status"] == "ok"
+        assert body["quarantined"] == 0
+
+    @pytest.mark.parametrize("mode", RUNTIME_MODES)
+    def test_healthz_reports_runtime_and_backlog(self, mode):
+        system = ELearningSystem.with_defaults(SystemConfig(runtime_mode=mode, shards=2))
+        with serving(system) as (_, _, httpd):
+            request(httpd, "POST", "/rooms", {"name": "r"})
+            request(httpd, "POST", "/rooms/r/join", {"user": "u"})
+            request(httpd, "POST", "/rooms/r/messages",
+                    {"user": "u", "text": "We push an element onto the stack."})
+            status, body = request(httpd, "GET", "/healthz")
+        assert status == 200
+        assert body["status"] == "ok"  # a backlog alone is not degraded
+        assert body["runtime"] == mode
+        deferred = mode in MULTI_WORKER_MODES  # no auto-drain after posting
+        assert body["pending_supervision"] == (1 if deferred else 0)
+
+
+def raw_post(httpd, content_length: str) -> bytes:
+    """POST /rooms with a hand-written Content-Length header and no body
+    over a raw socket, the connection left open the way a stalled client
+    leaves it; the read timeout turns a parked handler into a failure
+    instead of a hang."""
+    host, port = httpd.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /rooms HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {content_length}\r\n".encode("ascii")
+            + b"Connection: close\r\n\r\n"
+        )
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except socket.timeout:
+            pytest.fail(f"no response to Content-Length: {content_length}")
+    return b"".join(chunks)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "content_length", ["abc", "-1", "+5", "1.5", "0x10", "1e3", "5, 5"]
+    )
+    def test_invalid_content_length_is_400(self, served, content_length):
+        _, _, httpd = served
+        response = raw_post(httpd, content_length)
+        status_line = response.split(b"\r\n", 1)[0]
+        assert status_line.split()[1] == b"400", response
+        assert b"invalid Content-Length" in response
+
+    def test_zero_content_length_is_an_empty_body_not_a_bad_header(self, served):
+        _, _, httpd = served
+        response = raw_post(httpd, "0")
+        status_line = response.split(b"\r\n", 1)[0]
+        assert status_line.split()[1] == b"400", response
+        assert b"invalid Content-Length" not in response
+        assert b"must be a JSON object" in response
 
 
 class TestEventStream:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chatroom import MULTI_WORKER_MODES, RUNTIME_MODES, SupervisionRuntime
 from repro.cli import main
+from repro.core.system import ELearningSystem, SystemConfig
 
 
 class TestParseCommand:
@@ -78,6 +80,19 @@ class TestExportAndSimulate:
         out = capsys.readouterr().out
         assert "messages=" in out
 
+    @pytest.mark.parametrize("mode", RUNTIME_MODES)
+    def test_simulate_report_does_not_depend_on_runtime(self, mode, capsys):
+        args = ["simulate", "--rounds", "2", "--learners", "3", "--shards", "3"]
+        assert main(args + ["--runtime", "queued"]) == 0
+        reference = capsys.readouterr().out
+        assert main(args + ["--runtime", mode]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        if mode in MULTI_WORKER_MODES:
+            header = lines.pop(0)
+            assert header.startswith(f"runtime={mode} workers=3 worker_messages=[")
+        assert lines == reference.splitlines()
+        assert not reference.startswith("runtime=")
+
     @pytest.mark.slow
     def test_simulate_durable_then_recover(self, tmp_path, capsys):
         data_dir = str(tmp_path / "state")
@@ -94,3 +109,14 @@ class TestArgParsing:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("mode", ["process", "bogus"])
+    def test_unknown_runtime_mode_rejected_everywhere(self, mode, capsys):
+        with pytest.raises(ValueError, match="unknown runtime mode"):
+            SupervisionRuntime(mode=mode)
+        with pytest.raises(ValueError, match="unknown runtime mode"):
+            ELearningSystem.with_defaults(SystemConfig(runtime_mode=mode))
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--runtime", mode])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -17,9 +17,9 @@ below its committed floor.  Gated today:
   retries, breakers and quarantine are likewise fault-path-only code:
   a line that never ran in tests first runs during a production fault;
 * ``src/repro/state``      against ``tests/state``      (floor 95%) —
-  the fork/merge/delta protocol is what the process runtime ships
-  across its boundary; an untested line there is silent state
-  divergence between parent and child;
+  the fork/merge protocol decides what every ``parallel`` barrier
+  folds back into the shared stores; an untested line there is silent
+  state divergence between a shard replica and its base store;
 * ``src/repro/ontology``   against ``tests/ontology``   (floor 95%) —
   the structural index and distance rows answer every semantic
   verdict; an untested line there is a wrong correction.
@@ -55,7 +55,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: landed (PR 5); durability measured 97% when the WAL/snapshot layer
 #: landed (PR 6); resilience measured 96.7% when the
 #: fault-tolerance subsystem landed (PR 7); state measured
-#: 100% when the process runtime landed (PR 8); ontology measured
+#: 100% with the fork/merge protocol alone; ontology measured
 #: 97.7% when its structural index landed.
 SUBSYSTEMS: tuple[tuple[str, str, float], ...] = (
     ("src/repro/corpus", "tests/corpus", 95.0),
