@@ -3,21 +3,29 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-slow check bench bench-quick bench-pytest simulate docs-check coverage
+.PHONY: test test-dev test-slow check bench bench-quick bench-pytest simulate docs-check coverage
 
 # Tier-1: fast, deterministic, no benchmarks (see pytest.ini).
 test:
 	$(PY) -m pytest -x -q
+
+# The threaded and networked suites under Python's development mode
+# (-X dev): unclosed sockets and files surface as ResourceWarnings in
+# pytest's warning summary, and faulthandler dumps every thread's stack
+# on a hard crash.
+test-dev:
+	$(PY) -X dev -m pytest -q tests/chatroom tests/agents tests/nlp tests/serving
 
 # Just the @slow suites (CI's nightly job): full 200-seed segmented
 # parity at aggressive freeze cadence, chaos soak, full simulate runs.
 test-slow:
 	$(PY) -m pytest -m slow -q
 
-# CI gate: tier-1 tests, a bench smoke run (scratch output, so the
+# CI gate: tier-1 tests, the development-mode run of the threaded
+# suites, a bench smoke run (scratch output, so the
 # committed BENCH_parse.json and its pinned seed baseline stay put),
 # and the per-subsystem coverage floors.
-check: test bench-quick coverage
+check: test test-dev bench-quick coverage
 
 # Line-coverage floors over the gated subsystems (corpus, durability,
 # resilience, state, ontology; stdlib tracer, offline; fails on

@@ -7,8 +7,10 @@ Posts the same classroom traffic to 16 rooms under two runtimes:
   Figure-3 agent flow before returning;
 * the sharded runtime — ``say`` just delivers and enqueues; rooms are
   sharded across 4 workers and one ``drain()`` per round batches the
-  queued work, analysing each distinct sentence once and fanning the
-  result out across rooms.
+  queued work.
+
+Both share the pipeline's sentence-analysis cache, so each distinct
+sentence is analysed once in either runtime.
 
 Run:  python examples/sharded_supervision.py [rounds]
 """
@@ -71,7 +73,7 @@ def main() -> None:
     sharded = build(SystemConfig(runtime_mode="sharded", shards=4))
     sharded_rate = run(sharded, rounds, drain_per_round=True)
     print(f"sharded runtime: {sharded_rate:8.0f} msg/s  "
-          f"({sharded_rate / sync_rate:.1f}x, workers drain deduped batches)")
+          f"({sharded_rate / sync_rate:.1f}x, workers drain batched work)")
 
     print(f"\nper-worker messages: {sharded.runtime.worker_loads()}")
     print(f"merged stats equal per-worker sum: "

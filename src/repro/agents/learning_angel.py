@@ -9,6 +9,8 @@ records the tagged sentence back into the corpus.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.corpus.records import Correctness, CorpusRecord
 from repro.corpus.search import SuggestionSearch
 from repro.corpus.store import LearnerCorpus
@@ -80,25 +82,12 @@ class LearningAngelAgent:
             else None
         )
 
-    @property
-    def analysis_key(self) -> tuple[int, int, int]:
-        """Identity of the static state a review depends on.
-
-        Two agents with the same dictionary, parse options and keyword
-        filter produce value-identical reviews for any sentence whose
-        analysis does not read the learner corpus; the supervision
-        pipeline keys its batch memo on this (plus the semantic agent),
-        so per-worker forks of one agent share memo entries while
-        unrelated agents never do.
-        """
-        return (id(self.analyzer.dictionary), id(self.options), id(self.keyword_filter))
-
     def fork(self, corpus: LearnerCorpus | None) -> "LearningAngelAgent":
         """A twin bound to a shard-local corpus replica.
 
         Shares the dictionary, options object, keyword filter and parse
         cache store (all static or internally locked), so the fork's
-        :attr:`analysis_key` equals the prototype's; only the corpus —
+        corpus-free reviews equal the prototype's; only the corpus —
         where reviews search suggestions and file records — is swapped
         for the worker's replica.
         """
@@ -115,34 +104,50 @@ class LearningAngelAgent:
         self,
         text: str | TokenizedSentence,
         pattern: PatternAnalysis | None = None,
+        suggest: bool = True,
     ) -> SyntaxReview:
         """Run the Figure-4 pipeline on one sentence.
 
         Accepts a pre-tokenised sentence and a precomputed pattern
         classification so the supervision pipeline tokenises and
-        classifies each sentence exactly once.
+        classifies each sentence exactly once.  With ``suggest=False``
+        the corpus search is skipped and the review is a pure function
+        of the sentence and the static dictionary and ontology; the
+        supervision pipeline caches such reviews and adds the suggestion
+        per posting with :meth:`with_suggestion`.
         """
         sentence = tokenize(text) if isinstance(text, str) else text
         if pattern is None:
             pattern = classify(sentence)
         diagnosis = self.analyzer.analyze(sentence)
         keywords = tuple(self.keyword_filter.extract(sentence)) if self.keyword_filter else ()
-        suggestion = None
         repairs = ()
-        if not diagnosis.is_correct:
-            if self.search is not None:
-                suggestion = self.search.best_sentence(
-                    sentence, keywords=[match.name for match in keywords]
-                )
-            if self.repairer is not None:
-                repairs = tuple(self.repairer.repair(sentence))
-        return SyntaxReview(
+        if not diagnosis.is_correct and self.repairer is not None:
+            repairs = tuple(self.repairer.repair(sentence))
+        review = SyntaxReview(
             diagnosis=diagnosis,
-            suggestion=suggestion,
             repairs=repairs,
             keywords=keywords,
             pattern=pattern,
         )
+        return self.with_suggestion(review, sentence) if suggest else review
+
+    def with_suggestion(
+        self, review: SyntaxReview, sentence: TokenizedSentence
+    ) -> SyntaxReview:
+        """``review`` plus a model sentence searched in the learner corpus.
+
+        The corpus-dependent step of the review: a faulty sentence gets
+        the best topic-matched correct sentence the corpus holds *now*.
+        Correct sentences, and agents without a corpus, are returned
+        unchanged.
+        """
+        if review.is_correct or self.search is None:
+            return review
+        suggestion = self.search.best_sentence(
+            sentence, keywords=[match.name for match in review.keywords]
+        )
+        return dataclasses.replace(review, suggestion=suggestion)
 
     def record(
         self,

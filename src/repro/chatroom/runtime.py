@@ -22,11 +22,9 @@ four modes:
 ``sharded``
     Rooms are assigned to N shards by CRC-32; each shard is owned by one
     :class:`SupervisionWorker` with its own pipeline clone and stats.
-    Draining batches items and shares one sentence-analysis memo across
-    the whole drain cycle, so identical sentences posted to many rooms
-    are parsed once and the results fanned out.  Agent replies land at
-    drain time (after the user messages of the batch), which is the
-    documented behavioural difference from the synchronous modes.
+    Draining batches items.  Agent replies land at drain time (after
+    the user messages of the batch), which is the documented
+    behavioural difference from the synchronous modes.
     Workers share the corpus/profile/FAQ stores and are drained
     cooperatively in index order on the caller's thread.
 
@@ -40,12 +38,15 @@ four modes:
     in any merge order — writes carry their origin seq), flushes the
     buffered agent replies in post order, and re-snapshots the
     replicas.  Because no worker can see another shard's in-flight
-    writes, analyses are frozen against the barrier snapshot; the batch
-    memo therefore dedups *every* repeated sentence — faulty ones
-    included, which the shared-store modes must re-analyse per item —
+    writes, a faulty sentence's corpus suggestion is frozen against the
+    barrier snapshot; a per-cycle memo therefore shares it across every
+    repeat in the cycle — the shared-store modes search it per item —
     and merged state is identical whatever the thread interleaving.  On
-    free-threaded builds the pool adds real core parallelism; under the
-    GIL the snapshot dedup is what the mode buys.
+    free-threaded builds the pool adds real core parallelism.
+
+In every mode the pipeline's sentence-analysis cache (see
+:mod:`repro.chatroom.supervisor`) serves the corpus-independent
+analysis of a repeated sentence across posts, drains and workers.
 
 The cooperative modes are deterministic by construction; ``parallel``
 is deterministic in *outcome* (merged stores, stats, transcripts) for a
@@ -228,9 +229,7 @@ class SupervisionRuntime:
         Cooperative modes: workers run in index order, ``batch_size``
         items per pass, and the cycle repeats until no queue holds work
         (items enqueued *during* the drain — e.g. by a
-        supervisor-triggered post — are included).  One sentence-analysis
-        memo is shared across the whole cycle: the cross-room dedup that
-        makes sharded drains cheaper than per-message supervision.
+        supervisor-triggered post — are included).
 
         ``parallel`` mode: see :meth:`_drain_parallel`.
         """
@@ -248,7 +247,6 @@ class SupervisionRuntime:
             if self.mode == "parallel":
                 done = self._drain_parallel(server)
             else:
-                memo: dict = {}
                 progressed = True
                 while progressed:
                     progressed = False
@@ -257,7 +255,7 @@ class SupervisionRuntime:
                         if released:
                             self.requeue_items(released)
                     for worker in self.workers:
-                        n = worker.drain(server, self.batch_size, memo, resilience)
+                        n = worker.drain(server, self.batch_size, resilience)
                         if n:
                             done += n
                             progressed = True
@@ -276,9 +274,9 @@ class SupervisionRuntime:
         origin seq), flushes the buffered agent replies in post order,
         re-snapshots the replicas, and hands barrier-registered
         observers the cycle's items in post order.  The memo shared by
-        the cycle's workers is discarded with the cycle: its entries
-        were computed against the cycle's snapshot and must not outlive
-        it.
+        the cycle's workers is discarded with the cycle: its corpus
+        suggestions were searched in the cycle's snapshot and must not
+        outlive it.
         """
         executor = self._executor
         if executor is None:

@@ -76,7 +76,7 @@ def dispatch(supervisor, server, item: SupervisionItem, memo: dict | None) -> No
     """Deliver one item to a supervisor, newest protocol first.
 
     Rich supervisors (the pipeline) take the resolved item plus the
-    batch's shared-analysis memo; plain observers keep the original
+    ``parallel`` cycle's shared memo; plain observers keep the original
     ``on_message(server, message)`` protocol.
     """
     handler = getattr(supervisor, "on_item", None)
@@ -260,25 +260,19 @@ class SupervisionWorker:
         self.processed += handled
         return handled
 
-    def drain(
-        self, server, max_items: int, memo: dict | None = None, resilience=None
-    ) -> int:
+    def drain(self, server, max_items: int, resilience=None) -> int:
         """Process up to ``max_items`` queued items, FIFO.
 
-        ``memo`` is the batch's shared sentence-analysis cache (see
-        :class:`~repro.chatroom.supervisor.SupervisionPipeline`): one
-        drain cycle passes a single dict through every worker, so a
-        sentence posted to many rooms is analysed once and its results
-        fanned out.  Returns the number of items *handled* (supervised
-        or quarantined); deferred items don't count — they are parked
-        on the controller, and counting them would make the runtime's
+        Returns the number of items *handled* (supervised or
+        quarantined); deferred items don't count — they are parked on
+        the controller, and counting them would make the runtime's
         progress loop spin on work it cannot do yet.
         """
         done = 0
         items = self.queue.items
         while items and done < max_items:
             item = items.popleft()
-            if self.supervise_item(server, item, memo, resilience):
+            if self.supervise_item(server, item, None, resilience):
                 done += 1
         self.processed += done
         return done

@@ -9,22 +9,26 @@ database, and agent replies are posted back into the room.
 The pipeline consumes :class:`~repro.chatroom.shard.SupervisionItem`
 work items (message + room resolved once at post time) and splits each
 sentence's handling into a *pure analysis* step and an *apply* step
-(stats, replies, recording).  The split is what makes batch dedup sound:
-analyses of syntactically-correct sentences depend only on static state
-(dictionary, ontology, keyword filter), so a drain batch can compute
-them once per distinct sentence and fan the result out across rooms.
-In the shared-store modes, faulty sentences consult the growing learner
-corpus for suggestions and are therefore always analysed fresh, keeping
-every mode's per-item output identical to the synchronous pipeline's.
+(stats, replies, recording).  Everything but the corpus suggestion
+search is a pure function of the sentence and the static dictionary and
+ontology, so the pipeline keeps those analyses in one generation-scoped
+LRU (a :class:`~repro.linkgrammar.cache.ParseCacheStore` keyed by
+sentence text) shared by its clones and shard forks:
+each distinct sentence is tokenised, parsed, repaired, keyword-filtered,
+semantically reviewed and QA-resolved once per dictionary and ontology
+generation, in every runtime mode, and a repeat costs one lookup plus
+the commit.  A faulty sentence's suggestion reads the growing learner
+corpus and is searched per posting, keeping every mode's per-item
+output identical to the synchronous pipeline's.
 
 **Shard-local mode** (:meth:`SupervisionPipeline.fork_shard`): the
 ``parallel`` runtime hands every worker a pipeline twin bound to shard
 replicas of the corpus, profile and FAQ stores (see :mod:`repro.state`),
 with agent replies buffered in an outbox the runtime flushes in post
 order at the drain barrier.  Because replica reads are frozen at the
-barrier snapshot, *every* analysis — faulty sentences included — becomes
-a pure function of (sentence, snapshot) and the batch memo may share
-them across rooms, shards and worker threads.
+barrier snapshot, a faulty sentence's suggestion is a pure function of
+(sentence, snapshot) for the cycle, and the runtime's per-cycle memo
+shares it across rooms, shards and worker threads.
 """
 
 from __future__ import annotations
@@ -37,10 +41,11 @@ from repro.agents.learning_angel import LearningAngelAgent
 from repro.agents.reports import SemanticReview, SemanticVerdict, SyntaxReview
 from repro.agents.semantic_agent import SemanticAgent
 from repro.corpus.records import Correctness
+from repro.linkgrammar.cache import ParseCacheStore
 from repro.linkgrammar.tokenizer import TokenizedSentence, split_sentences, tokenize
 from repro.nlp.patterns import PatternAnalysis, classify
 from repro.profiles.store import UserProfileStore
-from repro.qa.engine import QASystem
+from repro.qa.engine import QAResolution, QASystem
 
 from .messages import ChatMessage, MessageKind, Role
 from .server import ChatServer
@@ -81,20 +86,24 @@ class SupervisionStats:
 
 @dataclass(slots=True)
 class _SentenceAnalysis:
-    """The pure (side-effect-free) analysis of one sentence.
+    """The corpus-independent analysis of one sentence.
 
-    ``shareable`` marks analyses that depend only on static state — a
-    syntactically-correct review never touches the learner corpus — and
-    may therefore be fanned out across rooms within a drain batch.  The
-    semantic review is filled lazily by the first statement that needs
-    it and reused by every later duplicate.
+    A pure function of the sentence and the static dictionary and
+    ontology, so one instance serves every posting of the sentence, in
+    every room, drain and worker, until the cache's generation moves.
+    Learning_Angel's review carries ``suggestion=None``: the suggestion
+    reads the live learner corpus and is added per posting.  The
+    semantic review (statements) and the QA resolution (questions) are
+    filled lazily by the first posting that needs them; both fills are
+    value-deterministic, so worker threads racing one fill (or filing
+    two instances of one sentence) agree.
     """
 
     tokenized: TokenizedSentence
     pattern: PatternAnalysis
     review: SyntaxReview
-    shareable: bool
     semantic: SemanticReview | None = None
+    resolution: QAResolution | None = None
 
 
 @dataclass(slots=True)
@@ -102,17 +111,19 @@ class _SentencePlan:
     """One sentence's planned supervision: analysis done, nothing applied.
 
     ``on_item`` plans *every* sentence of a message before committing
-    any of them.  All the fallible work — parsing, semantic review, QA
-    resolution — happens during planning under the resilience stage
-    guards; the commit phase only writes stores and posts replies.  An
-    injected or real fault therefore always strikes before the item has
-    any side effects, which is what makes retrying or redriving the
-    item exactly-once.
+    any of them.  All the fallible work — parsing, suggestion search,
+    semantic review, QA resolution — happens during planning under the
+    resilience stage guards; the commit phase only writes stores and
+    posts replies.  An injected or real fault therefore always strikes
+    before the item has any side effects, which is what makes retrying
+    or redriving the item exactly-once.
+
+    ``review`` is this posting's Learning_Angel review: the cached one,
+    plus the corpus suggestion when the sentence is faulty.
     """
 
-    sentence: str
     analysis: _SentenceAnalysis
-    resolution: object | None = None
+    review: SyntaxReview
 
 
 @dataclass(slots=True)
@@ -185,10 +196,10 @@ class SupervisionPipeline:
     """Binds the agents, QA system, corpus and profiles to a server.
 
     One pipeline instance is one worker's supervision state: the heavy
-    collaborators (agents, QA, profiles) are shared, the stats counters
-    are private.  The sharded runtime calls :meth:`clone` once per extra
-    worker; :meth:`combined_stats` merges every clone's counters back
-    into the global view on demand.
+    collaborators (agents, QA, profiles) and the sentence-analysis cache
+    are shared, the stats counters are private.  The sharded runtime
+    calls :meth:`clone` once per extra worker; :meth:`combined_stats`
+    merges every clone's counters back into the global view on demand.
     """
 
     def __init__(
@@ -213,6 +224,20 @@ class SupervisionPipeline:
         # stage guards wrap the plan phase.  None = unguarded (plain
         # calls), which bare pipelines outside a system keep.
         self.resilience = None
+        # The dictionary and every ontology a cached analysis reads (one
+        # ontology object in the default wiring) scope the cache.
+        self._dictionary = learning_angel.analyzer.dictionary
+        ontologies = [semantic_agent.ontology, qa_system.ontology]
+        for keywords in (
+            learning_angel.keyword_filter,
+            semantic_agent.keyword_filter,
+            qa_system.keyword_filter,
+        ):
+            if keywords is not None:
+                ontologies.append(keywords.ontology)
+        self._ontologies = tuple({id(o): o for o in ontologies}.values())
+        # Sentence text -> _SentenceAnalysis, scoped by _generation().
+        self.analysis_cache = ParseCacheStore(self._dictionary.SHARED_CACHE_ENTRIES)
 
     # ------------------------------------------------------------ sharding
 
@@ -226,6 +251,7 @@ class SupervisionPipeline:
             self.policy,
         )
         twin.resilience = self.resilience
+        twin.analysis_cache = self.analysis_cache
         self._clones.append(twin)
         return twin
 
@@ -234,10 +260,10 @@ class SupervisionPipeline:
 
         The twin's agents share every static collaborator (dictionary,
         parse options, keyword filter, ontology, matcher, parse cache)
-        but write to forked replicas of the corpus, profile and FAQ
-        stores, and buffer agent replies in the returned bundle's
-        outbox.  Stats are private, merged via :meth:`combined_stats`
-        like any clone's.
+        and the sentence-analysis cache, but write to forked replicas of
+        the corpus, profile and FAQ stores, and buffer agent replies in
+        the returned bundle's outbox.  Stats are private, merged via
+        :meth:`combined_stats` like any clone's.
         """
         corpus = self.learning_angel.corpus
         stores = ShardStores(
@@ -255,6 +281,7 @@ class SupervisionPipeline:
         twin.shard_stores = stores
         stores.pipeline = twin
         twin.resilience = self.resilience
+        twin.analysis_cache = self.analysis_cache
         self._clones.append(twin)
         return twin, stores
 
@@ -283,7 +310,8 @@ class SupervisionPipeline:
         item: SupervisionItem,
         memo: dict | None = None,
     ) -> None:
-        """Supervise one work item; ``memo`` shares analyses in a batch.
+        """Supervise one work item; ``memo`` is a ``parallel`` cycle's
+        shared dict (see :meth:`_posting_review`), None elsewhere.
 
         Two phases.  **Plan** runs every sentence's fallible analysis —
         parsing, semantic review, QA resolution — under the resilience
@@ -328,89 +356,97 @@ class SupervisionPipeline:
         """Run one sentence's pure analysis under the stage guards.
 
         The guard key ``seq:index`` makes retry backoff deterministic
-        per sentence; the guarded calls themselves are pure (memoised
-        analysis, pure QA resolution), so re-invoking them after a
+        per sentence.  Each stage is crossed once per posting, cache
+        hit or not, so an injected fault strikes the same crossings
+        whatever the cache holds; the guarded calls are pure (cached
+        analysis, corpus read, lazy fills), so re-invoking them after a
         transient fault is free of side effects by construction.
         """
         resilience = self.resilience
         key = f"{message.seq}:{index}"
-        if resilience is None:
-            analysis = self._analyze_sentence(sentence, memo)
-        else:
-            analysis = resilience.guard(
-                "parser", key, lambda: self._analyze_sentence(sentence, memo)
-            )
-        plan = _SentencePlan(sentence=sentence, analysis=analysis)
-        if analysis.pattern.is_question:
+
+        def guarded(stage: str, call):
             if resilience is None:
-                plan.resolution = self._resolve_question(sentence, memo)
-            else:
-                plan.resolution = resilience.guard(
-                    "qa", key, lambda: self._resolve_question(sentence, memo)
-                )
+                return call()
+            return resilience.guard(stage, key, call)
+
+        def analyze() -> _SentencePlan:
+            analysis = self._analyze_sentence(sentence)
+            review = self._posting_review(analysis, memo)
+            return _SentencePlan(analysis, review)
+
+        plan = guarded("parser", analyze)
+        analysis = plan.analysis
+        if analysis.pattern.is_question:
+            guarded("qa", lambda: self._resolve_question(analysis, sentence))
         elif analysis.review.is_correct:
             # Fill the lazy semantic review now (cached on the analysis),
             # so the commit phase's read is guaranteed fault-free.
-            if resilience is None:
-                self._semantic_review(analysis)
-            else:
-                resilience.guard(
-                    "semantic", key, lambda: self._semantic_review(analysis)
-                )
+            guarded("semantic", lambda: self._semantic_review(analysis))
         return plan
 
-    def _analyze_sentence(
-        self, sentence: str, memo: dict | None
-    ) -> _SentenceAnalysis:
-        """Tokenise, classify and review one sentence — pure, memoisable.
+    def _generation(self) -> tuple:
+        """The dictionary version and ontology generations the cached
+        analyses were computed under."""
+        return (
+            self._dictionary.version,
+            *[ontology.generation for ontology in self._ontologies],
+        )
 
-        Reviews of correct sentences are corpus-independent, so duplicates
-        within a batch reuse the first occurrence's analysis; faulty
-        sentences re-run (their suggestion search reads the live corpus).
+    def _analyze_sentence(self, sentence: str) -> _SentenceAnalysis:
+        """Tokenise, classify and review one sentence — cached, corpus-free.
 
-        The memo key carries the identities of the static state a review
-        depends on (dictionary, parse options, keyword filter, semantic
-        agent): clones *and shard forks* of one pipeline share entries,
-        while unrelated pipelines registered on the same server
-        (different dictionary or keyword filter) never serve each
-        other's analyses.
-
-        In shard-local mode every analysis is memoisable: replica reads
-        are frozen at the barrier snapshot, so even a faulty sentence's
-        suggestion search is a pure function of (sentence, snapshot) for
-        the length of the cycle.  Because those entries embed
-        corpus-dependent suggestions, the key then also carries the
-        *base* corpus identity — shard forks of one pipeline share it,
-        pipelines bound to different corpora never do.  The runtime
-        hands each barrier cycle a fresh memo, so no entry outlives the
-        snapshot it was computed against.
+        Served from :attr:`analysis_cache` when the sentence was seen
+        under the current generation; computed and filed otherwise.
+        The first lookup under a new generation purges every entry (the
+        :meth:`~repro.linkgrammar.cache.ParseCacheStore.sync_generation`
+        rule): a redefined word or a new ontology term can change the
+        verdict of arbitrary sentences.  Mutations never run during a
+        drain, so an analysis is always filed under the generation it
+        was computed in.  Clones and shard forks of one pipeline share
+        the cache, so they share entries, while an unrelated pipeline
+        (own dictionary or keyword filter) owns its own cache.
         """
-        stores = self.shard_stores
-        corpus_id = (
-            id(stores.corpus.base)
-            if stores is not None and stores.corpus is not None
-            else None
-        )
-        key = (self.learning_angel.analysis_key, id(self.semantic_agent), corpus_id, sentence)
-        if memo is not None:
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-        tokenized = tokenize(sentence)
-        pattern = classify(tokenized)
-        review = self.learning_angel.review(tokenized, pattern=pattern)
-        analysis = _SentenceAnalysis(
-            tokenized=tokenized,
-            pattern=pattern,
-            review=review,
-            shareable=review.is_correct,
-        )
-        if memo is not None and (analysis.shareable or self.shard_stores is not None):
-            memo[key] = analysis
+        cache = self.analysis_cache
+        cache.sync_generation(self._generation())
+        analysis = cache.get_parse(sentence)
+        if analysis is None:
+            tokenized = tokenize(sentence)
+            pattern = classify(tokenized)
+            review = self.learning_angel.review(tokenized, pattern=pattern, suggest=False)
+            analysis = _SentenceAnalysis(tokenized, pattern, review)
+            cache.put_parse(sentence, analysis)
         return analysis
 
+    def _posting_review(
+        self, analysis: _SentenceAnalysis, memo: dict | None
+    ) -> SyntaxReview:
+        """Learning_Angel's review for one posting of the sentence.
+
+        A faulty sentence's suggestion is searched in the learner corpus
+        as it stands for this posting — the one corpus-dependent step.
+        In shard-local mode replica reads are frozen at the barrier
+        snapshot, so the suggestion is a pure function of (sentence,
+        snapshot) for the cycle and ``memo`` shares it across rooms,
+        shards and worker threads; the key carries the *base* corpus
+        identity, which shard forks of one pipeline share.
+        """
+        review = analysis.review
+        if review.is_correct or self.learning_angel.search is None:
+            return review
+        stores = self.shard_stores
+        if memo is None or stores is None:
+            return self.learning_angel.with_suggestion(review, analysis.tokenized)
+        key = (id(self.analysis_cache), id(stores.corpus.base), analysis.tokenized.raw)
+        suggested = memo.get(key)
+        if suggested is None:
+            suggested = memo[key] = self.learning_angel.with_suggestion(
+                review, analysis.tokenized
+            )
+        return suggested
+
     def _semantic_review(self, analysis: _SentenceAnalysis) -> SemanticReview:
-        """The (lazily computed, shareable) semantic review of a statement."""
+        """The (lazily computed, cached) semantic review of a statement."""
         semantic = analysis.semantic
         if semantic is not None:
             return semantic
@@ -429,6 +465,18 @@ class SupervisionPipeline:
         )
         analysis.semantic = semantic
         return semantic
+
+    def _resolve_question(self, analysis: _SentenceAnalysis, sentence: str) -> QAResolution:
+        """The (lazily computed, cached) QA resolution of a question.
+
+        Template match plus lazy ontology answer: store-independent, so
+        every asking shares one resolution.  The per-item apply (FAQ
+        lookup and bump, corpus fallback) runs in the commit phase.
+        """
+        resolution = analysis.resolution
+        if resolution is None:
+            resolution = analysis.resolution = self.qa_system.resolve(sentence)
+        return resolution
 
     def _emit_reply(
         self,
@@ -472,7 +520,7 @@ class SupervisionPipeline:
         now = message.timestamp
         analysis = plan.analysis
         pattern = analysis.pattern
-        review = analysis.review
+        review = plan.review
         posted = 0
 
         if pattern.is_question:
@@ -543,26 +591,6 @@ class SupervisionPipeline:
         )
         return posted
 
-    def _resolve_question(self, sentence: str, memo: dict | None):
-        """The pure resolution of one question, each distinct one once.
-
-        Mirrors the sentence-analysis split: the resolution (template
-        match + lazy ontology answer) is memoised across the drain
-        batch, keyed by the static matcher identity so pipeline clones
-        and shard forks share entries.  The per-item apply (FAQ lookup
-        and bump, corpus fallback) runs in the commit phase.
-        """
-        key = None
-        if memo is not None:
-            key = ("qa", id(self.qa_system.matcher), sentence)
-            resolution = memo.get(key)
-            if resolution is not None:
-                return resolution
-        resolution = self.qa_system.resolve(sentence)
-        if memo is not None:
-            memo[key] = resolution
-        return resolution
-
     def _handle_question(
         self,
         server: ChatServer,
@@ -572,14 +600,14 @@ class SupervisionPipeline:
         now: float,
         already_posted: int,
     ) -> int:
-        review = plan.analysis.review
+        review = plan.review
         self.stats.questions += 1
         # The origin (message seq, sentence index) keys FAQ merge order:
         # a redriven or backfilled question commits late, and the origin
         # is what keeps the FAQ's representative entry the one the
         # fault-free, in-order run would have kept.
         answer = self.qa_system.apply_resolution(
-            plan.resolution, now=now, origin=(message.seq, index)
+            plan.analysis.resolution, now=now, origin=(message.seq, index)
         )
         posted = 0
         if answer.answered:

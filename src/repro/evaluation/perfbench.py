@@ -188,9 +188,10 @@ def bench_multi_room_scale(rooms: int = 16, rounds: int = 12, shards: int = 4) -
     The workload posts the mixed-traffic messages round-robin across
     ``rooms`` rooms — the template-heavy shape of a real class cohort —
     once through the inline (PR 1 synchronous) runtime and once through
-    the sharded runtime draining a deduplicated batch per round.  Both
-    figures land in the report, plus the shared parse-cache counters
-    (the cross-parser store the drain batches lean on).
+    the sharded runtime draining a batch per round.  Both runtimes serve
+    repeated sentences from the pipeline's sentence-analysis cache, so
+    the ratio prices batching and sharding alone.  Both figures land in
+    the report, plus the shared parse-cache counters.
     """
     from repro.core.system import ELearningSystem, SystemConfig
 
@@ -280,13 +281,14 @@ def bench_parallel_drain(rooms: int = 16, rounds: int = 12, workers: int = 4) ->
     count.
 
     Both systems shard 16 rooms across 4 workers and drain once per
-    posted round.  The ``sharded`` mode's workers share the corpus, so a
-    faulty sentence (whose repair and suggestion search read the live
-    corpus) must be re-analysed for every room it was posted to.  The
+    posted round, and both serve repeated analyses from the pipeline's
+    sentence-analysis cache.  The ``sharded`` mode's workers share the
+    corpus, so a faulty sentence's suggestion search (which reads the
+    live corpus) runs for every room it was posted to.  The
     ``parallel`` mode freezes each drain cycle against the barrier
-    snapshot: its shared memo legitimately dedups *every* repeated
-    sentence — faulty ones included — and its workers run on a thread
-    pool (real core parallelism on free-threaded builds).  The merged
+    snapshot: its per-cycle memo shares that suggestion across rooms,
+    and its workers run on a thread pool (real core parallelism on
+    free-threaded builds).  The merged
     state is asserted equal to the cooperative modes by
     ``tests/chatroom/test_parallel_runtime.py``; this workload prices
     the difference.

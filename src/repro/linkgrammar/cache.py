@@ -50,13 +50,15 @@ class ParseCacheStore:
         self._count: OrderedDict[Hashable, int] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self._generation: int | None = None
+        self._generation: Hashable | None = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ scoping
 
-    def sync_generation(self, version: int) -> None:
-        """Scope the store to dictionary generation ``version``.
+    def sync_generation(self, version: Hashable) -> None:
+        """Scope the store to dictionary generation ``version`` (or any
+        generation key: the supervision pipeline's analysis cache passes
+        the dictionary version with its ontology generations).
 
         Entries from an older generation are purged wholesale — cheaper
         and simpler than carrying the version in every key, and a

@@ -135,33 +135,30 @@ class Linkage:
         return len(pairs) == len(set(pairs))
 
     def satisfies_ordering(self) -> bool:
-        """Meta-rule check: per-word link distances respect disjunct order.
+        """Meta-rule check: every linked word uses its disjunct's connectors.
 
-        For every linked word, the partners on each side, sorted by the
-        order the connectors appear in the disjunct (farthest first), must
-        be monotonically decreasing in distance.
+        Counts each word's links on either side and compares the counts
+        with its disjunct.  A side without a multi-connector needs exactly
+        one link per connector; a side with one (``@``) needs at least
+        one link per connector, since the multi-connector may take more.
+        The near-to-far order of the links is fixed by the parser's
+        matching, not re-checked here.
         """
+        left_links: dict[int, int] = {}
+        right_links: dict[int, int] = {}
+        for link in self.links:
+            left_links[link.right] = left_links.get(link.right, 0) + 1
+            right_links[link.left] = right_links.get(link.left, 0) + 1
         for index, disjunct in enumerate(self.disjuncts):
             if disjunct is None:
                 continue
-            left_partners = sorted(
-                (link.left for link in self.links if link.right == index),
-                reverse=False,
-            )
-            right_partners = sorted(
-                (link.right for link in self.links if link.left == index),
-                reverse=True,
-            )
-            multi_left = sum(1 for c in disjunct.left if c.multi)
-            multi_right = sum(1 for c in disjunct.right if c.multi)
-            if not multi_left and len(left_partners) != len(disjunct.left):
-                return False
-            if not multi_right and len(right_partners) != len(disjunct.right):
-                return False
-            if multi_left and len(left_partners) < len(disjunct.left):
-                return False
-            if multi_right and len(right_partners) < len(disjunct.right):
-                return False
+            for have, connectors in (
+                (left_links.get(index, 0), disjunct.left),
+                (right_links.get(index, 0), disjunct.right),
+            ):
+                need = len(connectors)
+                if have < need or (have > need and not any(c.multi for c in connectors)):
+                    return False
         return True
 
     def validate(self) -> list[str]:

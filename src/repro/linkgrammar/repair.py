@@ -73,7 +73,10 @@ class SentenceRepairer:
         )
         self.max_candidates = max_candidates
         self.max_results = max_results
+        # Inflection variants by word, for one dictionary version: a
+        # newly defined word can be another word's variant.
         self._variant_cache: dict[str, tuple[str, ...]] = {}
+        self._variant_version = dictionary.version
 
     # ----------------------------------------------------------------- API
 
@@ -176,6 +179,9 @@ class SentenceRepairer:
 
     def _variants(self, word: str) -> tuple[str, ...]:
         """Other known inflections sharing this word's base."""
+        if self._variant_version != self.dictionary.version:
+            self._variant_cache = {}
+            self._variant_version = self.dictionary.version
         cached = self._variant_cache.get(word)
         if cached is not None:
             return cached

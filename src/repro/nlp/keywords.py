@@ -45,35 +45,53 @@ class KeywordMatch:
         return self.item.name
 
 
+#: First token -> [(term tokens, item id)], longest term first.
+_TermTable = dict[str, list[tuple[tuple[str, ...], int]]]
+
+
 class KeywordFilter:
-    """Extracts ontology keywords from tokenised sentences."""
+    """Extracts ontology keywords from tokenised sentences.
+
+    The term table is derived from ``ontology.term_index()`` and rebuilt
+    on the first extraction after the ontology's generation moves, so a
+    term added with :meth:`~repro.ontology.model.Ontology.add_item` is
+    matched from then on.  The rebuild follows the ontology's
+    publish-whole rule: the table is built in locals and published by
+    one attribute assignment, so a concurrent reader sees either the
+    previous table or the whole new one.
+    """
 
     def __init__(self, ontology: Ontology, lemmatizer: Lemmatizer | None = None) -> None:
         self.ontology = ontology
         self.lemmatizer = lemmatizer or default_lemmatizer()
-        # first token -> [(token tuple, item id)], longest first.
-        self._by_first: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-        for name, item_id in ontology.term_index().items():
-            tokens = tuple(name.split())
-            if not tokens:
-                continue
-            self._by_first.setdefault(tokens[0], []).append((tokens, item_id))
-        for candidates in self._by_first.values():
-            candidates.sort(key=lambda pair: (-len(pair[0]), pair[0]))
-        self._max_term_length = max(
-            (len(tokens) for lists in self._by_first.values() for tokens, _ in lists),
-            default=1,
-        )
+        # (ontology generation, term table of that generation).
+        self._terms: tuple[int, _TermTable] | None = None
+
+    def _by_first(self) -> _TermTable:
+        """The term table of the ontology's current generation."""
+        terms = self._terms
+        generation = self.ontology.generation
+        if terms is None or terms[0] != generation:
+            by_first: _TermTable = {}
+            for name, item_id in self.ontology.term_index().items():
+                tokens = tuple(name.split())
+                if tokens:
+                    by_first.setdefault(tokens[0], []).append((tokens, item_id))
+            for candidates in by_first.values():
+                candidates.sort(key=lambda pair: (-len(pair[0]), pair[0]))
+            terms = self._terms = (generation, by_first)
+        return terms[1]
 
     def extract(self, text: str | TokenizedSentence) -> list[KeywordMatch]:
         """All ontology keywords, left to right, greedy longest match."""
         sentence = tokenize(text) if isinstance(text, str) else text
         words = sentence.words
         lemmas = self.lemmatizer.lemmas(words)
+        by_first = self._by_first()
         matches: list[KeywordMatch] = []
         position = 0
         while position < len(words):
-            match = self._match_at(words, lemmas, position)
+            match = self._match_at(by_first, words, lemmas, position)
             if match is None:
                 position += 1
             else:
@@ -82,10 +100,14 @@ class KeywordFilter:
         return matches
 
     def _match_at(
-        self, words: tuple[str, ...], lemmas: tuple[str, ...], position: int
+        self,
+        by_first: _TermTable,
+        words: tuple[str, ...],
+        lemmas: tuple[str, ...],
+        position: int,
     ) -> KeywordMatch | None:
         for key in (words[position], lemmas[position]):
-            for term_tokens, item_id in self._by_first.get(key, ()):
+            for term_tokens, item_id in by_first.get(key, ()):
                 end = position + len(term_tokens)
                 if end > len(words):
                     continue

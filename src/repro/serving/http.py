@@ -28,20 +28,32 @@ the gateway's admission lock, long-polls park on its delivery condition,
 and SSE streams drain a per-subscriber queue — so a slow reader never
 blocks a poster.  Handler errors map to status codes (:class:`ApiError`
 carries its own; anything else is a 500) instead of tearing down the
-connection.
+connection.  A 500 body is opaque: it carries a request id, and the
+traceback goes to the ``repro.serving.http`` logger under that id.  A
+request body declared larger than :data:`MAX_BODY_BYTES` is refused
+with 413 before any of it is read, and a client that hangs up while a
+response is written costs the server nothing but the connection.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import queue
 import time
+import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .gateway import ApiError, ChatGateway, MAX_POLL_WAIT
 
 #: Seconds between SSE keep-alive comments when no events flow.
 SSE_KEEPALIVE = 15.0
+
+#: Largest request body accepted (bytes).  Every endpoint takes a small
+#: JSON object; a larger declared ``Content-Length`` is answered 413.
+MAX_BODY_BYTES = 64 * 1024
+
+_log = logging.getLogger(__name__)
 
 
 class ChatHTTPServer(ThreadingHTTPServer):
@@ -90,6 +102,9 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
             # read to EOF and park the handler.
             raise ApiError(400, f"invalid Content-Length: {declared!r}")
         length = int(declared)
+        if length > MAX_BODY_BYTES:
+            # The body stays unread: _dispatch closes the connection.
+            raise ApiError(413, f"request body over {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ApiError(400, "request body must be a JSON object")
@@ -101,11 +116,13 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
             raise ApiError(400, "request body must be a JSON object")
         return body
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def _send_json(self, payload: dict, status: int = 200, close: bool = False) -> None:
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
         self.wfile.write(data)
 
@@ -133,11 +150,24 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
             if not handled:
                 raise ApiError(404, f"no such resource: {self.path}")
         except ApiError as exc:
-            self._send_json({"error": str(exc)}, status=exc.status)
+            # A 413 leaves the body unread, so the connection cannot
+            # carry another request.
+            self._send_error_json({"error": str(exc)}, exc.status, close=exc.status == 413)
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True  # client went away mid-response
-        except Exception as exc:  # never tear down the connection
-            self._send_json({"error": f"internal error: {exc}"}, status=500)
+        except Exception:  # never tear down the connection
+            request_id = uuid.uuid4().hex
+            _log.exception("request %s: %s %s failed", request_id, method, self.path)
+            self._send_error_json(
+                {"error": "internal error", "request_id": request_id}, 500
+            )
+
+    def _send_error_json(self, payload: dict, status: int, close: bool = False) -> None:
+        """Write an error response; a client already gone is no error."""
+        try:
+            self._send_json(payload, status=status, close=close)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
 
     def _handle(self, method: str, route: list[str]) -> bool:
         gateway = self.server.gateway

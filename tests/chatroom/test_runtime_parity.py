@@ -210,8 +210,8 @@ class TestDeferredDrain:
         assert system.stats.messages == 0
 
 
-class TestBatchMemoIsolation:
-    def test_memo_shared_within_pipeline_but_not_across(self):
+class TestAnalysisCacheIsolation:
+    def test_cache_shared_within_pipeline_but_not_across(self):
         from repro.agents.learning_angel import LearningAngelAgent
         from repro.agents.semantic_agent import SemanticAgent
         from repro.chatroom.supervisor import SupervisionPipeline
@@ -230,14 +230,14 @@ class TestBatchMemoIsolation:
 
         first, second = pipeline(), pipeline()
         clone = first.clone()
-        memo: dict = {}
         sentence = "We push an element onto the stack."
-        a = first._analyze_sentence(sentence, memo)
+        a = first._analyze_sentence(sentence)
         # Clones share agents -> they reuse the prototype's entry...
-        assert clone._analyze_sentence(sentence, memo) is a
+        assert clone._analyze_sentence(sentence) is a
         # ...an unrelated pipeline (own agents) never does.
-        assert second._analyze_sentence(sentence, memo) is not a
-        assert len(memo) == 2
+        assert second._analyze_sentence(sentence) is not a
+        assert first.analysis_cache is clone.analysis_cache
+        assert first.analysis_cache is not second.analysis_cache
 
 
 class TestRuntimeConstruction:

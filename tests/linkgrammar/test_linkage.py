@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.linkgrammar.connector import Connector
 from repro.linkgrammar.disjunct import Disjunct
@@ -118,3 +119,96 @@ class TestAccessors:
     def test_link_summary_sorted(self):
         linkage = _simple_linkage([_link(1, 2, "B"), _link(0, 1, "A")])
         assert linkage.link_summary() == "A(w0,w1) B(w1,w2)"
+
+
+def _ordering_oracle(linkage: Linkage) -> bool:
+    """The earlier body of ``Linkage.satisfies_ordering``: per word, two
+    sorted partner lists, of which only the lengths were compared."""
+    for index, disjunct in enumerate(linkage.disjuncts):
+        if disjunct is None:
+            continue
+        left_partners = sorted(
+            (link.left for link in linkage.links if link.right == index),
+            reverse=False,
+        )
+        right_partners = sorted(
+            (link.right for link in linkage.links if link.left == index),
+            reverse=True,
+        )
+        multi_left = sum(1 for c in disjunct.left if c.multi)
+        multi_right = sum(1 for c in disjunct.right if c.multi)
+        if not multi_left and len(left_partners) != len(disjunct.left):
+            return False
+        if not multi_right and len(right_partners) != len(disjunct.right):
+            return False
+        if multi_left and len(left_partners) < len(disjunct.left):
+            return False
+        if multi_right and len(right_partners) < len(disjunct.right):
+            return False
+    return True
+
+
+def _adversarial_linkages() -> list[Linkage]:
+    """Every hand-built linkage of this module, plus the parses of a
+    few real sentences."""
+    from repro.linkgrammar import ParseOptions, Parser
+    from repro.linkgrammar.lexicon.toy import toy_dictionary
+
+    s_plus, o_plus, multi = Connector.parse("S+"), Connector.parse("O+"), Connector.parse("@A+")
+    built = [
+        _simple_linkage([_link(0, 2), _link(1, 3)]),
+        _simple_linkage([_link(0, 3), _link(1, 2)]),
+        _simple_linkage([_link(0, 1), _link(2, 3)]),
+        _simple_linkage([_link(0, 1), _link(1, 2), _link(2, 3)]),
+        _simple_linkage([_link(0, 1), _link(1, 2)], n_words=4, nulls=frozenset({3})),
+        _simple_linkage([_link(0, 1, "A"), _link(0, 1, "B"), _link(1, 2), _link(2, 3)]),
+        Linkage(words=("hi",), links=(), disjuncts=(None,)),
+        Linkage(
+            words=("v", "o"),
+            links=(Link(0, 1, "O"),),
+            disjuncts=(Disjunct(left=(), right=(s_plus, o_plus)), None),
+        ),
+        Linkage(
+            words=("adj", "n1", "n2"),
+            links=(Link(0, 1, "A"), Link(0, 2, "A2")),
+            disjuncts=(Disjunct(left=(), right=(multi,)), None, None),
+        ),
+        Linkage(
+            words=("adj", "n1", "n2"),
+            links=(Link(0, 1, "A"), Link(0, 2, "A2")),
+            disjuncts=(Disjunct(left=(), right=(s_plus,)), None, None),
+        ),
+    ]
+    parser = Parser(toy_dictionary(), ParseOptions(use_wall=False, max_linkages=4096))
+    for text in ("the cat chased a mouse", "john ran", "the the cat", "cat chased john"):
+        built.extend(parser.parse(text).linkages)
+    return built
+
+
+class TestOrderingOracle:
+    def test_agrees_with_the_earlier_body_on_adversarial_linkages(self):
+        for linkage in _adversarial_linkages():
+            assert linkage.satisfies_ordering() == _ordering_oracle(linkage), linkage
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_earlier_body_on_generated_linkages(self, data):
+        n_words = data.draw(st.integers(1, 6))
+        pairs = st.tuples(st.integers(0, n_words - 1), st.integers(0, n_words - 1)).filter(
+            lambda pair: pair[0] < pair[1]
+        )
+        links = tuple(Link(left, right, "X") for left, right in data.draw(
+            st.lists(pairs, max_size=8) if n_words > 1 else st.just([])
+        ))
+        connector = st.sampled_from([Connector.parse(text) for text in ("S+", "@A+", "O-", "@M-")])
+        disjuncts = tuple(
+            data.draw(st.none() | st.builds(
+                Disjunct,
+                left=st.lists(connector, max_size=3).map(tuple),
+                right=st.lists(connector, max_size=3).map(tuple),
+            ))
+            for _ in range(data.draw(st.integers(0, n_words)))
+        )
+        words = tuple(f"w{i}" for i in range(n_words))
+        linkage = Linkage(words=words, links=links, disjuncts=disjuncts)
+        assert linkage.satisfies_ordering() == _ordering_oracle(linkage)

@@ -81,3 +81,20 @@ class TestRanking:
         repairs = repairer.repair("The the stack is full.")
         for repair in repairs:
             assert "thing" not in repair.text.lower()
+
+
+class TestDictionaryGrowth:
+    def test_variants_follow_a_define(self):
+        from repro.linkgrammar.lexicon import build_domain_dictionary
+
+        dictionary = build_domain_dictionary()  # private: safe to grow
+        repairer = SentenceRepairer(dictionary)
+        sentence = "The stack holds a blorfs."
+        repairer.repair(sentence)  # caches the (empty) variants of "blorfs"
+        dictionary.define("blorf", dictionary.lookup("data").formula)
+        dictionary.define("blorfs", dictionary.lookup("stacks").formula)
+        fresh = SentenceRepairer(dictionary)
+        assert [r.text for r in repairer.repair(sentence)] == [
+            r.text for r in fresh.repair(sentence)
+        ]
+        assert "The stack holds a blorf." in [r.text for r in repairer.repair(sentence)]

@@ -109,3 +109,18 @@ class TestLemmatizer:
 
     def test_table_is_populated(self):
         assert len(default_lemmatizer()) > 200
+
+
+class TestOntologyGrowth:
+    def test_term_added_after_construction_is_extracted(self):
+        from repro.ontology.domains.data_structures import build_data_structure_ontology
+        from repro.ontology.model import Item
+
+        ontology = build_data_structure_ontology()  # private: safe to grow
+        keyword_filter = KeywordFilter(ontology)
+        sentence = "The trie has a push method."
+        assert [m.name for m in keyword_filter.extract(sentence)] == ["push"]
+        next_id = max(item.item_id for item in ontology.items()) + 1
+        ontology.add_item(Item(next_id, "trie"))
+        matches = keyword_filter.extract(sentence)
+        assert [(m.name, m.item_id) for m in matches] == [("trie", next_id), ("push", 32)]

@@ -38,7 +38,14 @@ _texts = st.text(alphabet=_TEXT_ALPHABET, min_size=0, max_size=60)
 def ontologies(draw) -> Ontology:
     builder = OntologyBuilder(domain=draw(st.sampled_from(["Alpha", "Beta Domain"])))
     concept_names = draw(_names)
-    operation_names = [name + "op" for name in draw(_names)]
+    # Item names are unique across kinds: a concept drawn as "pop" must
+    # not meet an operation built from "p".
+    operation_names = [
+        name + "op"
+        for name in draw(
+            _names.filter(lambda names: not {n + "op" for n in names} & set(concept_names))
+        )
+    ]
     for name in concept_names:
         builder.concept(
             name,

@@ -423,3 +423,92 @@ class TestGatewayUnit:
             assert kept == [2, 3]
         finally:
             gateway.close_stream(stream)
+
+
+class TestHostileClients:
+    """Clients that hang up mid-response, trip a server fault, or
+    declare an oversized body: each costs the server at most the
+    connection, never a traceback, a leaked detail or a parked thread."""
+
+    @staticmethod
+    def _watch(httpd, monkeypatch):
+        """(handle_error calls, event set once a request's connection is
+        shut down — after any handle_error call for it)."""
+        errors: list = []
+        finished = threading.Event()
+        shutdown_request = httpd.shutdown_request
+
+        def record_error(request, client_address):
+            errors.append(client_address)
+
+        def shutdown(request):
+            shutdown_request(request)
+            finished.set()
+
+        monkeypatch.setattr(httpd, "handle_error", record_error)
+        monkeypatch.setattr(httpd, "shutdown_request", shutdown)
+        return errors, finished
+
+    @pytest.mark.parametrize(
+        "error", [ApiError(404, "no such thing"), RuntimeError("boom")], ids=["4xx", "5xx"]
+    )
+    def test_client_gone_before_the_error_write(self, served, monkeypatch, error):
+        _, gateway, httpd = served
+        errors, finished = self._watch(httpd, monkeypatch)
+        entered, release = threading.Event(), threading.Event()
+
+        def failing_health():
+            entered.set()
+            release.wait(5)
+            raise error
+
+        monkeypatch.setattr(gateway, "health", failing_health)
+        host, port = httpd.server_address[:2]
+        sock = socket.create_connection((host, port), timeout=5)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        assert entered.wait(5)
+        # Linger 0: close sends RST, so the server's error write fails.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, b"\x01\x00\x00\x00\x00\x00\x00\x00")
+        sock.close()
+        time.sleep(0.1)
+        release.set()
+        assert finished.wait(5)
+        assert errors == []
+
+    def test_500_body_is_opaque_with_a_request_id(self, served, monkeypatch, caplog):
+        _, gateway, httpd = served
+
+        def broken_health():
+            raise RuntimeError("secret: /srv/data/password.txt")
+
+        monkeypatch.setattr(gateway, "health", broken_health)
+        with caplog.at_level("ERROR", logger="repro.serving.http"):
+            status, body = request(httpd, "GET", "/healthz")
+        assert status == 500
+        assert "secret" not in json.dumps(body)
+        assert body["error"] == "internal error"
+        request_id = body["request_id"]
+        assert request_id
+        logged = [r for r in caplog.records if request_id in r.getMessage()]
+        assert logged and "secret" in str(logged[0].exc_info[1])
+
+    def test_oversized_body_is_413_before_it_is_read(self, served):
+        _, _, httpd = served
+        # No body follows the header: reading it would park the handler
+        # until the read timeout fails the test.  The request asks for a
+        # kept-alive connection, so the 413 must say it closes it.
+        host, port = httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /rooms HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {64 * 1024 * 1024}\r\n\r\n".encode("ascii")
+            )
+            chunks = []
+            try:
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+            except socket.timeout:
+                pytest.fail(f"connection not closed after {b''.join(chunks)!r}")
+        head = b"".join(chunks).split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert head[0].split()[1] == b"413", head
+        assert b"connection: close" in [line.lower() for line in head[1:]], head
