@@ -28,8 +28,8 @@ test-slow:
 check: test test-dev bench-quick coverage
 
 # Line-coverage floors over the gated subsystems (corpus, durability,
-# resilience, state, ontology; stdlib tracer, offline; fails on
-# regression below a floor in tools/coverage_gate.py).
+# resilience, state, ontology, linkgrammar; stdlib tracer, offline;
+# fails on regression below a floor in tools/coverage_gate.py).
 coverage:
 	$(PY) tools/coverage_gate.py
 

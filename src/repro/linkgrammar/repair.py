@@ -10,10 +10,10 @@ sentences, this module proposes *edits to the learner's own sentence*:
   subject-verb agreement and number errors);
 * swap adjacent words (fixing local word-order slips).
 
-Candidates are generated around the diagnosed trouble spots, re-parsed,
-and only candidates that parse strictly better (fewer nulls, then lower
-cost) are offered, best first.  The search is bounded, so repair stays
-interactive-fast.
+Candidates are generated around the diagnosed trouble spots and checked
+against the parser, and only candidates that parse strictly better
+(fewer nulls, then lower cost) are offered, best first.  The search is
+bounded, so repair stays interactive-fast.
 """
 
 from __future__ import annotations
@@ -86,6 +86,14 @@ class SentenceRepairer:
         Accepts raw or pre-tokenised input.  Returns an empty list when
         the sentence is already fully grammatical or nothing parses
         better.
+
+        Each candidate costs only what the decision needs.  A candidate
+        with a word the dictionary does not know is skipped unparsed.
+        It still counts as seen, but it skips the ``max_candidates``
+        budget check, so the search only stops right after trying a
+        candidate whose words are all known.  Those first get a
+        zero-null linkage count, and only the ones with a positive count
+        are fully parsed for their best cost.
         """
         sentence = tokenize(text) if isinstance(text, str) else text
         baseline = self.parser.parse(sentence)
@@ -104,21 +112,16 @@ class SentenceRepairer:
             if candidate in seen or candidate.lower() == sentence.raw.lower():
                 continue
             seen.add(candidate)
-            result = self.parser.parse(candidate)
-            if result.unknown_words:
+            tokens = tokenize(candidate)
+            if not all(map(self.dictionary.is_known, tokens.words)):
                 continue
             # A repair must be *fully* grammatical — a partial improvement
             # would still draw a Learning_Angel warning.
-            key = (result.null_count, result.best.cost if result.best else 0)
-            if result.null_count == 0 and result.linkages and key < base_key:
-                repairs.append(
-                    Repair(
-                        text=candidate,
-                        edit=edit,
-                        null_count=0,
-                        cost=result.best.cost if result.best else 0,
-                    )
-                )
+            if self.parser.count_linkages(tokens, 0):
+                result = self.parser.parse(tokens)
+                cost = result.best.cost if result.best else 0
+                if result.null_count == 0 and result.linkages and (0, cost) < base_key:
+                    repairs.append(Repair(text=candidate, edit=edit, null_count=0, cost=cost))
             if len(seen) >= self.max_candidates:
                 break
         repairs.sort(key=Repair.sort_key)

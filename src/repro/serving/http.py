@@ -31,7 +31,12 @@ carries its own; anything else is a 500) instead of tearing down the
 connection.  A 500 body is opaque: it carries a request id, and the
 traceback goes to the ``repro.serving.http`` logger under that id.  A
 request body declared larger than :data:`MAX_BODY_BYTES` is refused
-with 413 before any of it is read, and a client that hangs up while a
+with 413 before any of it is read; the connection then drains what the
+client still sends, bounded by :data:`LINGER_BYTES` and
+:data:`LINGER_SECONDS`, so closing it cannot reset the 413 away.  Every
+read gives up after :data:`READ_TIMEOUT`: a body that stalls short of
+its ``Content-Length`` is answered 408, and a keep-alive connection idle
+that long is closed.  A client that hangs up (or stops reading) while a
 response is written costs the server nothing but the connection.
 """
 
@@ -40,6 +45,7 @@ from __future__ import annotations
 import json
 import logging
 import queue
+import socket
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -52,6 +58,21 @@ SSE_KEEPALIVE = 15.0
 #: Largest request body accepted (bytes).  Every endpoint takes a small
 #: JSON object; a larger declared ``Content-Length`` is answered 413.
 MAX_BODY_BYTES = 64 * 1024
+
+#: Seconds any read on a connection may wait: a body stalled short of its
+#: ``Content-Length`` is answered 408, an idle keep-alive connection is
+#: closed.  Well above the longest pause of a live client, such as the
+#: 30 s a load generator allows for an SSE reply to arrive before it
+#: posts again.
+READ_TIMEOUT = 60.0
+
+#: Bounds of the drain after a 413: at most this many bytes of the
+#: refused body are read and dropped, for at most this many seconds.
+LINGER_BYTES = 2 * 1024 * 1024
+LINGER_SECONDS = 2.0
+
+#: A client that hung up, or stopped reading for READ_TIMEOUT seconds.
+_CLIENT_GONE = (BrokenPipeError, ConnectionResetError, TimeoutError)
 
 _log = logging.getLogger(__name__)
 
@@ -91,6 +112,10 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------- plumbing
 
+    def setup(self) -> None:
+        super().setup()
+        self.connection.settimeout(READ_TIMEOUT)
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
             super().log_message(format, *args)
@@ -103,9 +128,13 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
             raise ApiError(400, f"invalid Content-Length: {declared!r}")
         length = int(declared)
         if length > MAX_BODY_BYTES:
-            # The body stays unread: _dispatch closes the connection.
+            # The body stays unread: _dispatch drains and closes.
             raise ApiError(413, f"request body over {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            # The stream position is lost: _dispatch closes the connection.
+            raise ApiError(408, f"request body not received within {READ_TIMEOUT:g} s") from None
         if not raw:
             raise ApiError(400, "request body must be a JSON object")
         try:
@@ -150,10 +179,13 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
             if not handled:
                 raise ApiError(404, f"no such resource: {self.path}")
         except ApiError as exc:
-            # A 413 leaves the body unread, so the connection cannot
-            # carry another request.
-            self._send_error_json({"error": str(exc)}, exc.status, close=exc.status == 413)
-        except (BrokenPipeError, ConnectionResetError):
+            # A 408 or 413 leaves the body unread, so the connection
+            # cannot carry another request.
+            close = exc.status in (408, 413)
+            self._send_error_json({"error": str(exc)}, exc.status, close=close)
+            if exc.status == 413:
+                self._drain_refused_body()
+        except _CLIENT_GONE:
             self.close_connection = True  # client went away mid-response
         except Exception:  # never tear down the connection
             request_id = uuid.uuid4().hex
@@ -166,8 +198,33 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
         """Write an error response; a client already gone is no error."""
         try:
             self._send_json(payload, status=status, close=close)
-        except (BrokenPipeError, ConnectionResetError):
+        except _CLIENT_GONE:
             self.close_connection = True
+
+    def _drain_refused_body(self) -> None:
+        """Read and drop what a client still sends of a refused body.
+
+        Closing a socket with unread input makes the kernel send a
+        reset, and a client still writing its body fails on that reset
+        before it reads the 413.  So the response is ended with a FIN
+        first, then the body is read away until the client closes or
+        the byte or time bound is reached.
+        """
+        left = min(int(self.headers["Content-Length"]), LINGER_BYTES)
+        deadline = time.monotonic() + LINGER_SECONDS
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while left > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    return
+                self.connection.settimeout(remaining)
+                chunk = self.rfile.read1(min(left, 65536))
+                if not chunk:
+                    return
+                left -= len(chunk)
+        except OSError:
+            pass  # gone or too slow: the connection closes either way
 
     def _handle(self, method: str, route: list[str]) -> bool:
         gateway = self.server.gateway
@@ -290,7 +347,7 @@ class ChatRequestHandler(BaseHTTPRequestHandler):
                 sent += 1
                 if limit and sent >= limit:
                     return
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # subscriber hung up; nothing to answer
+        except _CLIENT_GONE:
+            pass  # subscriber hung up or stopped reading; nothing to answer
         finally:
             gateway.close_stream(stream)

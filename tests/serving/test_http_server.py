@@ -20,6 +20,7 @@ from repro.chatroom import MULTI_WORKER_MODES, RUNTIME_MODES
 from repro.core.system import ELearningSystem, SystemConfig
 from repro.resilience import RuntimeFaultPlan
 from repro.serving import ApiError, ChatGateway, ChatHTTPServer
+from repro.serving import http as serving_http
 
 
 @contextmanager
@@ -512,3 +513,96 @@ class TestHostileClients:
         head = b"".join(chunks).split(b"\r\n\r\n", 1)[0].split(b"\r\n")
         assert head[0].split()[1] == b"413", head
         assert b"connection: close" in [line.lower() for line in head[1:]], head
+
+    def test_stalled_body_is_408_and_closes(self, served, monkeypatch, caplog):
+        _, _, httpd = served
+        errors, finished = self._watch(httpd, monkeypatch)
+        monkeypatch.setattr(serving_http, "READ_TIMEOUT", 0.3)
+        host, port = httpd.server_address[:2]
+        # 7 of the 20 declared bytes, then silence on a kept-alive
+        # connection: without a read timeout the handler parks forever.
+        with caplog.at_level("ERROR", logger="repro.serving.http"):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(
+                    b"POST /rooms HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: 20\r\n\r\n" + b'{"name"'
+                )
+                response = _read_to_eof(sock)
+            assert finished.wait(5)
+        head, body = response.split(b"\r\n\r\n", 1)
+        lines = head.split(b"\r\n")
+        assert lines[0].split()[1] == b"408", response
+        assert b"connection: close" in [line.lower() for line in lines[1:]], head
+        assert b"not received within" in body
+        assert errors == []
+        assert caplog.records == []  # a 408, not a 500 with a traceback
+
+    def test_idle_keep_alive_connection_is_closed(self, served, monkeypatch):
+        _, _, httpd = served
+        monkeypatch.setattr(serving_http, "READ_TIMEOUT", 0.3)
+        host, port = httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert _read_to_eof(sock).startswith(b"HTTP/1.1 200")
+
+    def test_413_reaches_a_client_still_sending_its_body(self, served):
+        _, _, httpd = served
+        body = b"x" * (1024 * 1024)
+        host, port = httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            received: list[bytes] = []
+            reader = threading.Thread(target=lambda: received.append(_read_to_eof(sock)))
+            reader.start()
+            sock.sendall(
+                b"POST /rooms HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+            )
+            # The body streams in after the server has answered.  A
+            # reset fails these sends, and a client that reads only
+            # once its request is sent (http.client) never sees the 413.
+            for start in range(0, len(body), 64 * 1024):
+                sock.sendall(body[start : start + 64 * 1024])
+                time.sleep(0.005)
+            reader.join(5)
+        assert not reader.is_alive()
+        response = received[0]
+        head, payload = response.split(b"\r\n\r\n", 1)
+        lines = head.split(b"\r\n")
+        assert lines[0].split()[1] == b"413", response
+        headers = dict(line.lower().split(b": ", 1) for line in lines[1:])
+        assert headers[b"connection"] == b"close"
+        assert len(payload) == int(headers[b"content-length"])
+        assert json.loads(payload) == {"error": "request body over 65536 bytes"}
+
+    def test_drain_after_413_is_bounded_in_time(self, served, monkeypatch):
+        _, _, httpd = served
+        monkeypatch.setattr(serving_http, "LINGER_SECONDS", 0.3)
+        host, port = httpd.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            # Declares 64 MiB, then trickles far less than the byte
+            # bound: the drain reads until its time bound, then closes.
+            started = time.monotonic()  # before the drain's clock starts
+            sock.sendall(
+                b"POST /rooms HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {64 * 1024 * 1024}\r\n\r\n".encode("ascii")
+            )
+            assert _read_to_eof(sock).startswith(b"HTTP/1.1 413")  # ended by a FIN
+            with pytest.raises(OSError):  # the reset once the drain gives up
+                while time.monotonic() - started < 5.0:
+                    sock.sendall(b"x" * 4096)
+                    time.sleep(0.01)
+            waited = time.monotonic() - started
+        # Below the default LINGER_SECONDS: the patched bound applied.
+        assert 0.3 <= waited < 2.0, waited
+
+
+def _read_to_eof(sock: socket.socket) -> bytes:
+    """Everything the server sends until it closes; a read timeout fails
+    the test instead of hanging it."""
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except socket.timeout:
+        pytest.fail(f"connection not closed after {b''.join(chunks)!r}")
+    return b"".join(chunks)
